@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from .criticality import Q_MAX_DEFAULT, REFINE_TOL_DEFAULT, order_parameter
-from .entropy import _cond_value, conditional_entropy_bell, tsallis_entropy
+from .entropy import bell_log_pairs, conditional_entropy_bell, entropy_kernel, tsallis_entropy
 from .errors import NumericalError, UnphysicalStateError
 from .linalg import EPS_SUPPORT, Spectrum
 from .separability import (
@@ -29,7 +29,7 @@ from .separability import (
     BOUNDARY_TOL_SCAN,
     ar_classify_asymptotic,
     classify_state,
-    grid_points,
+    grid_cells,
     threshold_x,
 )
 from .states import BellDiagonalState, bell_weights, is_physical
@@ -321,20 +321,13 @@ def _fig3_cell_rows(cells) -> list:
     return rows
 
 
-def _grid_cells(x_spec, y_spec, z_spec) -> list:
-    xs = grid_points(x_spec, "x")
-    ys = grid_points(y_spec, "y")
-    zs = grid_points(z_spec, "z")
-    return [(x, y, z) for x in xs for y in ys for z in zs]
-
-
 def _cmd_scan(args) -> str:
     default = (-3.0, 1.0, 21)
     shared = args.range if args.range is not None else default
     x_spec = args.xrange if args.xrange is not None else shared
     y_spec = args.yrange if args.yrange is not None else shared
     z_spec = args.zrange if args.zrange is not None else shared
-    cells = _grid_cells(x_spec, y_spec, z_spec)
+    cells = grid_cells(x_spec, y_spec, z_spec)
     worker = partial(_scan_cell_rows, method=args.method, boundary_tol=args.boundary_tol)
     rows = _parallel_rows(cells, worker, args.jobs)
     header = ["x", "y", "z", "physical", "verdict", "criterion", "witness", "witness_q"]
@@ -352,7 +345,7 @@ def _figure_fig1a() -> str:
             for k in range(201):
                 x = k / 200.0
                 s = family(x)
-                rows.append((label, x, q, _cond_value(bell_weights(s), q)))
+                rows.append((label, x, q, entropy_kernel(bell_log_pairs(bell_weights(s)), q)))
     return _csv_document(["direction", "x", "q", "S_q_cond"], rows)
 
 
@@ -363,7 +356,7 @@ def _figure_fig1b() -> str:
         for k in range(801):
             x = (k - 600) / 200.0
             s = BellDiagonalState(x, 1.0, 1.0)
-            rows.append((x, q, _cond_value(bell_weights(s), q)))
+            rows.append((x, q, entropy_kernel(bell_log_pairs(bell_weights(s)), q)))
     return _csv_document(["x", "q", "S_q_cond"], rows)
 
 
@@ -376,19 +369,19 @@ def _figure_fig2() -> str:
     curves.append(("xxx_0", BellDiagonalState(0.0, 0.0, 0.0)))
     rows = []
     for label, s in curves:
-        weights = bell_weights(s)
+        pairs = bell_log_pairs(bell_weights(s))
         skip_zero = _rank_deficient(s)
         for k in range(1301):
             q = (k - 300) / 100.0
             if skip_zero and abs(q) <= 1e-6:
                 continue
-            rows.append((label, q, _cond_value(weights, q)))
+            rows.append((label, q, entropy_kernel(pairs, q)))
     return _csv_document(["label", "q", "S_q_cond"], rows)
 
 
 def _figure_fig3(jobs: int) -> str:
     spec = (-3.0, 1.0, 41)
-    cells = _grid_cells(spec, spec, spec)
+    cells = grid_cells(spec, spec, spec)
     rows = _parallel_rows(cells, _fig3_cell_rows, jobs)
     return _csv_document(["x", "y", "z", "physical", "verdict", "eta"], rows)
 

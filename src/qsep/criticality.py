@@ -13,8 +13,9 @@ vertex; at the exact vertices eta = 1 is assigned by that limit convention.
 
 The search is resolution limited: close to the critical planes q_I grows
 without bound, and any state whose q_I exceeds ``q_max`` (default 200)
-reports no inflexion. Second derivatives come from central differences with
-a q-proportional step, refined by bisection once a sign change is bracketed.
+reports no inflexion. The second derivative is the exact one of
+``entropy.entropy_kernel``; its sign is scanned on a log-spaced grid and the
+first sign change is bisected to ``refine_tol``.
 """
 
 from __future__ import annotations
@@ -24,30 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import _cond_value
+from .entropy import bell_log_pairs, entropy_kernel
 from .states import BellDiagonalState, bell_weights, is_physical
 from .errors import UnphysicalStateError
-from .separability import AxisSpec, grid_points
+from .separability import AxisSpec, bisect, check_tolerance, grid_cells
 
 Q_FLOOR = 1e-3
 Q_MAX_DEFAULT = 200.0
 REFINE_TOL_DEFAULT = 1e-8
 SEARCH_POINTS = 240
 _VERTEX_TOL = 1e-12
-
-
-def second_derivative(weights, q: float, h: float | None = None) -> float:
-    """Central-difference d2/dq2 of the conditional entropy at fixed weights.
-
-    The default step h = 1e-3 * max(1, q) keeps the relative truncation
-    error roughly uniform across the log-spaced search grid.
-    """
-    if h is None:
-        h = 1e-3 * max(1.0, q)
-    f_minus = _cond_value(weights, q - h)
-    f_zero = _cond_value(weights, q)
-    f_plus = _cond_value(weights, q + h)
-    return (f_plus - 2.0 * f_zero + f_minus) / (h * h)
 
 
 @dataclass(frozen=True)
@@ -67,7 +54,11 @@ class CriticalityReport:
     vertex: bool = False
 
 
-def _require_physical(s: BellDiagonalState) -> tuple[float, float, float, float]:
+def _checked_weights(s: BellDiagonalState, q_max: float,
+                     refine_tol: float) -> tuple[float, float, float, float]:
+    if not (math.isfinite(q_max) and q_max > Q_FLOOR):
+        raise ValueError(f"q_max must be finite and above {Q_FLOOR}, got {q_max!r}")
+    check_tolerance(refine_tol, "refine_tol")
     check = is_physical(s)
     if not check:
         raise UnphysicalStateError("; ".join(check.violations))
@@ -75,36 +66,26 @@ def _require_physical(s: BellDiagonalState) -> tuple[float, float, float, float]
 
 
 def _search(weights, q_max: float, refine_tol: float) -> CriticalityReport:
-    grid = np.geomspace(Q_FLOOR, q_max, SEARCH_POINTS)
-    d2 = [second_derivative(weights, float(q)) for q in grid]
+    pairs = bell_log_pairs(weights)
+    grid = np.geomspace(Q_FLOOR, q_max, SEARCH_POINTS).tolist()
+    d2 = [entropy_kernel(pairs, q, 2) for q in grid]
     brackets = []
     for k in range(len(grid) - 1):
         a, b = d2[k], d2[k + 1]
         if math.isfinite(a) and math.isfinite(b) and a * b < 0.0:
-            brackets.append((float(grid[k]), float(grid[k + 1])))
+            brackets.append(k)
     if not brackets:
         return CriticalityReport(None, 0.0, None, None, ())
-    lo, hi = brackets[0]
-    f_lo = second_derivative(weights, lo)
-    f_hi = second_derivative(weights, hi)
-    bracket_values = (f_lo, f_hi)
-    while hi - lo > refine_tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = second_derivative(weights, mid)
-        if f_mid == 0.0:
-            lo = hi = mid
-            break
-        if (f_mid < 0.0) == (f_lo < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    q_inflexion = 0.5 * (lo + hi)
+    k = brackets[0]
+    lo_negative = d2[k] < 0.0
+    q_inflexion = bisect(lambda q: (entropy_kernel(pairs, q, 2) < 0.0) != lo_negative,
+                         grid[k], grid[k + 1], refine_tol)
     return CriticalityReport(
         q_inflexion=q_inflexion,
         eta=1.0 / (1.0 + q_inflexion),
-        bracket=brackets[0],
-        d2_at_bracket=bracket_values,
-        extra_brackets=tuple(brackets[1:]),
+        bracket=(grid[k], grid[k + 1]),
+        d2_at_bracket=(d2[k], d2[k + 1]),
+        extra_brackets=tuple((grid[j], grid[j + 1]) for j in brackets[1:]),
     )
 
 
@@ -114,8 +95,9 @@ def inflexion_point(s: BellDiagonalState, q_max: float = Q_MAX_DEFAULT,
 
     Returns None when no sign change is found; states whose inflexion sits
     beyond q_max are indistinguishable from that case by construction.
+    q_max must be finite and above Q_FLOOR, refine_tol finite and positive.
     """
-    weights = _require_physical(s)
+    weights = _checked_weights(s, q_max, refine_tol)
     if max(weights) >= 1.0 - _VERTEX_TOL:
         return None
     return _search(weights, q_max, refine_tol).q_inflexion
@@ -128,7 +110,7 @@ def order_parameter(s: BellDiagonalState, q_max: float = Q_MAX_DEFAULT,
     The four Bell vertices short-circuit to eta = 1 (the limit value along
     any ray into the vertex), reported with ``vertex=True``.
     """
-    weights = _require_physical(s)
+    weights = _checked_weights(s, q_max, refine_tol)
     if max(weights) >= 1.0 - _VERTEX_TOL:
         return CriticalityReport(None, 1.0, None, None, (), vertex=True)
     return _search(weights, q_max, refine_tol)
@@ -137,14 +119,9 @@ def order_parameter(s: BellDiagonalState, q_max: float = Q_MAX_DEFAULT,
 def eta_field(x_spec: AxisSpec, y_spec: AxisSpec, z_spec: AxisSpec,
               q_max: float = Q_MAX_DEFAULT) -> tuple[tuple[float, float, float, float], ...]:
     """Order parameter over the physical cells of a grid, x-major order."""
-    xs = grid_points(x_spec, "x")
-    ys = grid_points(y_spec, "y")
-    zs = grid_points(z_spec, "z")
     rows = []
-    for x in xs:
-        for y in ys:
-            for z in zs:
-                s = BellDiagonalState(x, y, z)
-                if is_physical(s):
-                    rows.append((x, y, z, order_parameter(s, q_max=q_max).eta))
+    for x, y, z in grid_cells(x_spec, y_spec, z_spec):
+        s = BellDiagonalState(x, y, z)
+        if is_physical(s):
+            rows.append((x, y, z, order_parameter(s, q_max=q_max).eta))
     return tuple(rows)

@@ -16,19 +16,82 @@ there, with the closed form
 
     S_q(B|A) = (2 - sum_k (2 w_k)^q) / (2 (q - 1)).
 
-The rescaled weights 2 w_k keep that expression finite far beyond the range
-where 2^(1-q) underflows, which matters for scans with large q.
+Every entropy of this module, and its second q-derivative, is evaluated by
+one kernel over pairs (p_k, L_k) on the support. With u = q - 1,
+
+    S^(n)(q) = -sum_k p_k L_k^(n+1) phi_n(u L_k),  phi_n(x) = int_0^1 s^n e^(sx) ds,
+
+where L_k = ln p_k for the Tsallis entropy and L_k = ln(2 w_k) for the
+conditional entropy of Bell weights w_k. The form is exact through q = 1,
+where phi_n(0) = 1/(n + 1), needs no finite differences, and stays finite
+where the power sums would overflow or underflow: since phi_n > 0, a
+divergent term saturates to an infinity of its own sign.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import UnphysicalStateError
-from .linalg import EPS_SUPPORT, Spectrum, trace_power, _pow
+from .linalg import EPS_SUPPORT, Spectrum, trace_power
 from .states import BellDiagonalState, bell_weights, is_physical
+
+# Above this argument e^x overflows; phi_n saturates to +inf there.
+_EXP_MAX = math.log(sys.float_info.max)
+# Taylor coefficients 1 / (n! (n + 3)) of phi_2, highest order first; through
+# x^15 they reach double precision for |x| < 1/2.
+_PHI2_SERIES = tuple(1.0 / (math.factorial(n) * (n + 3)) for n in range(15, -1, -1))
+
+
+def _phi0(x: float) -> float:
+    if x > _EXP_MAX:
+        return math.inf
+    if x == 0.0:
+        return 1.0
+    return math.expm1(x) / x
+
+
+def _phi2(x: float) -> float:
+    if -0.5 < x < 0.5:
+        # the closed form below cancels here
+        total = 0.0
+        for c in _PHI2_SERIES:
+            total = total * x + c
+        return total
+    if x > _EXP_MAX:
+        return math.inf
+    inv = 1.0 / x
+    return math.exp(x) * inv * (1.0 - 2.0 * inv + 2.0 * inv * inv) - 2.0 * inv * inv * inv
+
+
+def bell_log_pairs(weights: Sequence[float]) -> tuple[tuple[float, float], ...]:
+    """Kernel input (w_k, ln(2 w_k)) over the support of a Bell-weight tuple.
+
+    Compute it once per state and reuse it for every q the state is
+    evaluated at.
+    """
+    return tuple([(w, math.log(2.0 * w)) for w in weights if w > EPS_SUPPORT])
+
+
+def entropy_kernel(pairs: Sequence[tuple[float, float]], q: float, n: int = 0) -> float:
+    """S^(n)(q) = -sum_k p_k L_k^(n+1) phi_n((q - 1) L_k), for n in {0, 2}.
+
+    With pairs (p, ln p) this is the Tsallis entropy and its second
+    q-derivative; with ``bell_log_pairs`` it is the conditional entropy
+    S_q(B|A) of a Bell-diagonal state. A divergent result is an infinity
+    (-inf for q > 1, +inf for q < 1); nothing raises. The terms are summed
+    with math.fsum, so the result does not depend on the order of the pairs.
+    """
+    u = q - 1.0
+    # 0.0 - sum rather than -sum: a zero entropy is +0.0, never -0.0
+    if n == 0:
+        return 0.0 - math.fsum([p * L * _phi0(u * L) for p, L in pairs])
+    if n == 2:
+        return 0.0 - math.fsum([p * L * L * L * _phi2(u * L) for p, L in pairs])
+    raise ValueError(f"derivative order must be 0 or 2, got {n!r}")
 
 
 def tsallis_entropy(s: Spectrum, q: float) -> float:
@@ -41,9 +104,7 @@ def tsallis_entropy(s: Spectrum, q: float) -> float:
         raise ValueError("tsallis_entropy requires a stochastic spectrum")
     if not math.isfinite(q):
         raise ValueError("q must be finite")
-    if q == 1.0:
-        return -math.fsum(v * math.log(v) for v in s.values if v > EPS_SUPPORT)
-    return (1.0 - trace_power(s, q)) / (q - 1.0)
+    return entropy_kernel([(p, math.log(p)) for p in s.values if p > EPS_SUPPORT], q)
 
 
 def pseudoadditive_combine(sa: float, sb: float, q: float) -> float:
@@ -53,7 +114,7 @@ def pseudoadditive_combine(sa: float, sb: float, q: float) -> float:
 
 def conditional_entropy(joint: Spectrum, reduced: Spectrum, q: float) -> float:
     """Abe-Rajagopal conditional entropy from joint and reduced spectra."""
-    denominator = 1.0 if q == 1.0 else trace_power(reduced, q)
+    denominator = trace_power(reduced, q)
     if abs(denominator) < 1e-300:
         raise ValueError("conditional entropy denominator vanished")
     numerator = tsallis_entropy(joint, q) - tsallis_entropy(reduced, q)
@@ -73,18 +134,11 @@ class ConditionalEntropyValue:
 def rescaled_power_sum(weights: Sequence[float], q: float) -> float:
     """sum_k (2 w_k)^q over the support of a Bell-weight tuple.
 
-    This is the large-q-stable core of the Bell-diagonal closed forms: the
-    conditional entropy compares it against the constant 2 instead of
-    comparing raw power sums against 2^(1-q).
+    Evaluated as 2 (sum_k w_k - (q - 1) S_q(B|A)) from the exact kernel, so
+    a divergent sum is +inf rather than an overflow.
     """
-    return math.fsum(_pow(2.0 * w, q) for w in weights if w > EPS_SUPPORT)
-
-
-def _cond_value(weights: Sequence[float], q: float) -> float:
-    if q == 1.0:
-        joint = -math.fsum(w * math.log(w) for w in weights if w > EPS_SUPPORT)
-        return joint - math.log(2.0)
-    return (2.0 - rescaled_power_sum(weights, q)) / (2.0 * (q - 1.0))
+    pairs = bell_log_pairs(weights)
+    return 2.0 * (math.fsum([w for w, _ in pairs]) - (q - 1.0) * entropy_kernel(pairs, q))
 
 
 def conditional_entropy_bell(s: BellDiagonalState, q: float) -> ConditionalEntropyValue:
@@ -94,7 +148,7 @@ def conditional_entropy_bell(s: BellDiagonalState, q: float) -> ConditionalEntro
     check = is_physical(s)
     if not check:
         raise UnphysicalStateError("; ".join(check.violations))
-    return ConditionalEntropyValue(value=_cond_value(bell_weights(s), q), q=q)
+    return ConditionalEntropyValue(value=entropy_kernel(bell_log_pairs(bell_weights(s)), q), q=q)
 
 
 def chain_rule_check(a: Spectrum, b_given_a: float, q: float) -> float:

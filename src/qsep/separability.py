@@ -15,7 +15,8 @@ Three routes, deliberately independent of each other:
 
 ``threshold_x`` finds where a parameter ray leaves the region with
 nonnegative conditional entropy at fixed q, and ``region_scan`` sweeps a
-Cartesian grid with a chosen classifier.
+Cartesian grid with a chosen classifier. ``bisect`` and ``grid_cells`` are
+the one bisection and the one grid enumeration the package uses.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, UnphysicalStateError
-from .entropy import _cond_value, rescaled_power_sum
+from .entropy import bell_log_pairs, entropy_kernel, rescaled_power_sum
 from .linalg import hermitian_eigenvalues, partial_transpose
 from .states import (
     BellDiagonalState,
@@ -77,6 +78,36 @@ class RegionGrid:
     cells: tuple[GridCell, ...]
 
 
+def check_tolerance(tol: float, name: str) -> None:
+    """Raise ValueError unless tol is finite and positive."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {tol!r}")
+
+
+def bisect(above, lo: float, hi: float, tol: float) -> float:
+    """Midpoint of [lo, hi] after halving it to a width of at most tol.
+
+    ``above(t)`` tells whether t lies on the ``hi`` side of the change being
+    located. Halving also stops once the midpoint rounds onto an end, so a
+    tol below the float spacing still returns.
+    """
+    check_tolerance(tol, "tolerance")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _check_band(boundary_tol: float) -> None:
+    if not (math.isfinite(boundary_tol) and boundary_tol >= 0.0):
+        raise ValueError(f"boundary_tol must be finite and nonnegative, got {boundary_tol!r}")
+
+
 def _banded_verdict(witness: float, criterion: str, boundary_tol: float,
                     witness_q: float | None = None) -> Classification:
     # Positive witness means entangled for every criterion normalised here.
@@ -97,6 +128,7 @@ def ppt_classify(state: TwoQubitState | np.ndarray,
     The witness is the most negative eigenvalue of the partial transpose
     (negated margin when all are positive), so positive witness = entangled.
     """
+    _check_band(boundary_tol)
     if not isinstance(state, TwoQubitState):
         state = TwoQubitState.from_matrix(state)
     pt = partial_transpose(state.matrix, on="B")
@@ -118,6 +150,7 @@ def ar_residual(s: BellDiagonalState, q: float) -> float:
 def ar_classify_asymptotic(s: BellDiagonalState,
                            boundary_tol: float = BOUNDARY_TOL_ANALYTIC) -> Classification:
     """Large-q limit of the entropic criterion: max Bell weight versus 1/2."""
+    _check_band(boundary_tol)
     check = is_physical(s)
     if not check:
         raise UnphysicalStateError("; ".join(check.violations))
@@ -131,6 +164,9 @@ def default_q_grid() -> tuple[float, ...]:
     return (0.25, 0.5, 0.75, 1.0) + tuple(1.0 + float(o) for o in offsets)
 
 
+_DEFAULT_Q_GRID = default_q_grid()
+
+
 def ar_classify_scan(s: BellDiagonalState,
                      q_grid: tuple[float, ...] | None = None,
                      boundary_tol: float = BOUNDARY_TOL_SCAN) -> Classification:
@@ -139,18 +175,19 @@ def ar_classify_scan(s: BellDiagonalState,
     The exact asymptotic test runs alongside: if it says entangled while the
     scan sees nothing, its verdict wins (reported under its own criterion).
     """
+    _check_band(boundary_tol)
     check = is_physical(s)
     if not check:
         raise UnphysicalStateError("; ".join(check.violations))
     if q_grid is None:
-        q_grid = default_q_grid()
+        q_grid = _DEFAULT_Q_GRID
     if not q_grid:
         raise ValueError("q_grid must contain at least one sample")
-    weights = bell_weights(s)
+    pairs = bell_log_pairs(bell_weights(s))
     min_value = math.inf
     min_q = None
     for q in q_grid:
-        value = _cond_value(weights, q)
+        value = entropy_kernel(pairs, q)
         if value < min_value:
             min_value = value
             min_q = q
@@ -198,10 +235,11 @@ def threshold_x(q: float, direction="diag", tol: float = 1e-12) -> float:
     physical tetrahedron. When the whole physical segment keeps nonnegative
     conditional entropy, the ray either grazes the critical surface exactly
     at the physical boundary (the boundary parameter is returned) or never
-    reaches it (BracketError).
+    reaches it (BracketError). tol must be finite and positive.
     """
     if not q > 1.0:
         raise ValueError(f"threshold search needs q > 1, got q = {q!r}")
+    check_tolerance(tol, "tol")
     d = _direction_vector(direction)
     t_max = _ray_extent(d)
 
@@ -219,13 +257,7 @@ def threshold_x(q: float, direction="diag", tol: float = 1e-12) -> float:
         if max(bell_weights(end)) >= 0.5 - BOUNDARY_TOL_ANALYTIC:
             return t_max
         raise BracketError("ray never crosses the q-threshold surface")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if residual(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return bisect(lambda t: residual(t) > 0.0, lo, hi, tol)
 
 
 AxisSpec = tuple[float, float, int]
@@ -242,6 +274,15 @@ def grid_points(spec: AxisSpec, name: str) -> tuple[float, ...]:
     if count == 1:
         return (lo,)
     return tuple(float(v) for v in np.linspace(lo, hi, count))
+
+
+def grid_cells(x_spec: AxisSpec, y_spec: AxisSpec,
+               z_spec: AxisSpec) -> list[tuple[float, float, float]]:
+    """(x, y, z) cells of a Cartesian grid, x-major: x outermost, z fastest."""
+    xs = grid_points(x_spec, "x")
+    ys = grid_points(y_spec, "y")
+    zs = grid_points(z_spec, "z")
+    return [(x, y, z) for x in xs for y in ys for z in zs]
 
 
 def classify_state(s: BellDiagonalState, method: str,
@@ -267,17 +308,12 @@ def region_scan(x_spec: AxisSpec, y_spec: AxisSpec, z_spec: AxisSpec,
     Cells are enumerated x-major (x outermost, then y, then z), and
     non-physical cells are kept in place with no classification.
     """
-    xs = grid_points(x_spec, "x")
-    ys = grid_points(y_spec, "y")
-    zs = grid_points(z_spec, "z")
     cells = []
-    for x in xs:
-        for y in ys:
-            for z in zs:
-                s = BellDiagonalState(x, y, z)
-                if is_physical(s):
-                    cls = classify_state(s, method, boundary_tol)
-                    cells.append(GridCell(x, y, z, True, cls))
-                else:
-                    cells.append(GridCell(x, y, z, False, None))
-    return RegionGrid(xs=xs, ys=ys, zs=zs, cells=tuple(cells))
+    for x, y, z in grid_cells(x_spec, y_spec, z_spec):
+        s = BellDiagonalState(x, y, z)
+        if is_physical(s):
+            cells.append(GridCell(x, y, z, True, classify_state(s, method, boundary_tol)))
+        else:
+            cells.append(GridCell(x, y, z, False, None))
+    return RegionGrid(xs=grid_points(x_spec, "x"), ys=grid_points(y_spec, "y"),
+                      zs=grid_points(z_spec, "z"), cells=tuple(cells))

@@ -32,7 +32,7 @@ from qsep import (
     werner,
 )
 from qsep.cli import main as cli_main
-from qsep.entropy import _cond_value
+from qsep.entropy import bell_log_pairs, entropy_kernel
 from qsep.states import bell_weights
 from test_criticality import GOLDEN_DIAGONAL, GOLDEN_RTOL
 from test_entropy import lowest_curve, uppermost_curve
@@ -131,8 +131,8 @@ def test_criterion_05_closed_form_curve_anchors(capsys):
     worst = 0.0
     for k in range(1301):
         q = (k - 300) / 100.0
-        worst = max(worst, abs(_cond_value(origin, q) - uppermost_curve(q)))
-        worst = max(worst, abs(_cond_value(vertex, q) - lowest_curve(q)))
+        worst = max(worst, abs(entropy_kernel(bell_log_pairs(origin), q) - uppermost_curve(q)))
+        worst = max(worst, abs(entropy_kernel(bell_log_pairs(vertex), q) - lowest_curve(q)))
     ok = worst < 1e-12
     _verdict(
         capsys, "criterion-05 extreme curves match closed forms",

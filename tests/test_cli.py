@@ -38,6 +38,15 @@ def run_cli(capsys, *argv):
     return code, out, err
 
 
+def package_env():
+    """Environment in which subprocesses import the qsep package under test,
+    not another install."""
+    pythonpath = [str(Path(qsep.__file__).resolve().parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        pythonpath.append(os.environ["PYTHONPATH"])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+
+
 def read_csv_text(text):
     rows = list(csv.reader(text.splitlines()))
     return rows[0], rows[1:]
@@ -171,6 +180,26 @@ def test_exit_code_domain_errors(capsys):
     )
     assert code == 3
     assert "probability" in err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["threshold", "--q", "2", "--tol", "0"], 3),
+    (["threshold", "--q", "2", "--tol", "-1"], 3),
+    (["threshold", "--q", "2", "--tol", "1e-300"], 0),
+    (["qinflex", "--xyz", "0.5,0.5,0.5", "--refine-tol", "0"], 3),
+    (["qinflex", "--xyz", "0.5,0.5,0.5", "--refine-tol", "-1"], 3),
+    (["qinflex", "--xyz", "0.5,0.5,0.5", "--refine-tol", "1e-300"], 0),
+    (["qinflex", "--xyz", "0.5,0.5,0.5", "--q-max", "0.0001"], 3),
+    (["classify", "--xyz", "0.2,0.2,0.2", "--boundary-tol", "-1"], 3),
+    (["classify", "--xyz", "0.2,0.2,0.2", "--boundary-tol", "nan"], 3),
+])
+def test_search_and_band_tolerances_exit_without_hanging(argv, expected):
+    # Run in a subprocess with a timeout, so a bisection that stops
+    # terminating fails here instead of stalling the suite. A tolerance
+    # below the float spacing of the root must return, not spin.
+    result = subprocess.run([sys.executable, "-m", "qsep", *argv],
+                            capture_output=True, text=True, env=package_env(), timeout=60)
+    assert result.returncode == expected, result.stderr
 
 
 def test_exit_code_numerical_failure(capsys):
@@ -388,11 +417,7 @@ def installed_distribution():
 
 
 def test_module_and_script_entry_points():
-    # Subprocesses import the qsep package under test, not another install.
-    pythonpath = [str(Path(qsep.__file__).resolve().parents[1])]
-    if os.environ.get("PYTHONPATH"):
-        pythonpath.append(os.environ["PYTHONPATH"])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+    env = package_env()
 
     result = subprocess.run(
         [sys.executable, "-m", "qsep", "cond", "--xyz", "0,0,0", "--q", "2"],

@@ -12,14 +12,17 @@ from qsep import (
     order_parameter,
     werner,
 )
-from qsep.criticality import second_derivative
+from qsep.criticality import Q_FLOOR
+from qsep.entropy import bell_log_pairs, entropy_kernel
 from qsep.separability import grid_points
 from qsep.states import bell_weights
 
 # Inflexion locations frozen from an independent 60-digit-precision solver
 # (analytic second derivative, dense log grid, bisection to 1e-30) before the
-# production search was written. Relative tolerance 2e-6 leaves an 8x margin
-# over the measured finite-difference bias of the production code.
+# production search was written. The search bisects the exact second
+# derivative to a bracket of width refine_tol = 1e-8, so its error is at most
+# 0.5e-8 absolute: 2.7e-9 relative at the smallest q_I listed (1.88), which
+# GOLDEN_RTOL covers with a 3.7x margin.
 GOLDEN_DIAGONAL = {
     0.4: 13.973792082953026,
     0.5: 6.0839769765829796,
@@ -32,7 +35,7 @@ GOLDEN_OFF_DIAGONAL = {
     (0.5, 0.7, 0.2): 7.3782714341306633,
     (0.9, 0.3, 0.1): 9.5794658545761269,
 }
-GOLDEN_RTOL = 2e-6
+GOLDEN_RTOL = 1e-8
 
 VERTICES = [(-3.0, 1.0, 1.0), (1.0, -3.0, 1.0), (1.0, 1.0, -3.0), (1.0, 1.0, 1.0)]
 
@@ -93,14 +96,42 @@ def test_eta_grows_towards_the_vertex():
     assert 0.0 < etas[0] < etas[-1] < 1.0
 
 
-def test_second_derivative_converges_at_second_order():
-    weights = bell_weights(BellDiagonalState(0.55, 0.55, 0.55))
-    q = 2.0
-    d2_h = second_derivative(weights, q, h=0.08)
-    d2_h2 = second_derivative(weights, q, h=0.04)
-    d2_h4 = second_derivative(weights, q, h=0.02)
-    ratio = abs(d2_h - d2_h2) / abs(d2_h2 - d2_h4)
-    assert 2.5 < ratio < 6.5
+def test_exact_kernel_matches_mpmath_through_q_equal_one():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    full_rank = (0.6, 0.3, -0.2)
+    rank_deficient = (1.0, 0.3, -0.2)
+    for xyz in (full_rank, rank_deficient):
+        weights = bell_weights(BellDiagonalState(*xyz))
+        pairs = bell_log_pairs(weights)
+        exact_weights = [mp.mpf(w) for w in weights if w > 0.0]
+
+        def s(q):
+            u = q - 1
+            return -mp.fsum(w * mp.log(2 * w) * (mp.expm1(u * mp.log(2 * w)) / (u * mp.log(2 * w))
+                                                 if u != 0 else 1) for w in exact_weights)
+
+        # at q = 1.95, (q - 1) ln(2 w) = -0.485 for w = 0.3: the edge of the
+        # series branch of phi_2
+        for q in (1e-3, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-6, 1.95, 2.0, 150.0):
+            exact_s = float(s(mp.mpf(q)))
+            exact_d2 = float(mp.diff(s, mp.mpf(q), 2))
+            assert entropy_kernel(pairs, q) == pytest.approx(exact_s, rel=1e-12, abs=1e-14)
+            assert entropy_kernel(pairs, q, 2) == pytest.approx(exact_d2, rel=1e-12, abs=1e-14)
+
+
+def test_search_parameters_are_validated():
+    s = werner(0.5)
+    for q_max in (Q_FLOOR, 1e-4, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="q_max"):
+            order_parameter(s, q_max=q_max)
+        with pytest.raises(ValueError, match="q_max"):
+            inflexion_point(s, q_max=q_max)
+    for refine_tol in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="refine_tol"):
+            order_parameter(s, refine_tol=refine_tol)
+        with pytest.raises(ValueError, match="refine_tol"):
+            inflexion_point(s, refine_tol=refine_tol)
 
 
 def test_deep_inflexion_needs_a_larger_search_range():

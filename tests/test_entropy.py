@@ -27,7 +27,7 @@ from qsep import (
     tsallis_entropy,
     werner,
 )
-from qsep.entropy import _cond_value
+from qsep.entropy import bell_log_pairs, entropy_kernel
 from qsep.states import bell_weights
 
 UNIFORM4 = Spectrum.uniform(4)
@@ -148,7 +148,7 @@ def test_rescaled_power_sum_values():
     assert rescaled_power_sum((0.5, 0.5, 0.0, 0.0), -1.0) == pytest.approx(2.0, abs=1e-15)
     # a divergent power sum saturates to infinity instead of raising
     assert rescaled_power_sum((0.0, 0.0, 0.0, 1.0), 5000.0) == math.inf
-    assert _cond_value((0.0, 0.0, 0.0, 1.0), 5000.0) == -math.inf
+    assert entropy_kernel(bell_log_pairs((0.0, 0.0, 0.0, 1.0)), 5000.0) == -math.inf
 
 
 def test_closed_form_curve_anchors():
@@ -156,8 +156,8 @@ def test_closed_form_curve_anchors():
     vertex = bell_weights(BellDiagonalState(1.0, 1.0, 1.0))
     for k in range(-12, 41):
         q = 0.25 * k
-        assert _cond_value(origin, q) == pytest.approx(uppermost_curve(q), abs=1e-13)
-        assert _cond_value(vertex, q) == pytest.approx(lowest_curve(q), abs=1e-13)
+        assert entropy_kernel(bell_log_pairs(origin), q) == pytest.approx(uppermost_curve(q), abs=1e-13)
+        assert entropy_kernel(bell_log_pairs(vertex), q) == pytest.approx(lowest_curve(q), abs=1e-13)
 
 
 def test_conditional_entropy_near_quadratic_threshold():
@@ -169,9 +169,9 @@ def test_conditional_entropy_near_quadratic_threshold():
 def test_weight_permutation_symmetry_is_bit_exact():
     base = (0.1, 0.2, 0.3, 0.4)
     for q in (-1.0, 0.5, 2.0, 7.3):
-        reference = _cond_value(base, q)
+        reference = entropy_kernel(bell_log_pairs(base), q)
         for perm in itertools.permutations(base):
-            assert _cond_value(perm, q) == reference
+            assert entropy_kernel(bell_log_pairs(perm), q) == reference
 
 
 def test_state_symmetry_images_agree():
@@ -206,7 +206,7 @@ def test_conditional_entropy_sign_tracks_max_weight(t, q):
     # weight exceeds one; on the symmetric line that flips where the
     # residual sum crosses 2.
     weights = bell_weights(BellDiagonalState(t, t, t))
-    value = _cond_value(weights, q)
+    value = entropy_kernel(bell_log_pairs(weights), q)
     residual = rescaled_power_sum(weights, q) - 2.0
     if residual > 1e-12:
         assert value < 0.0

@@ -21,7 +21,7 @@ from qsep import (
     threshold_x,
     werner,
 )
-from qsep.entropy import _cond_value
+from qsep.entropy import bell_log_pairs, entropy_kernel
 from qsep.separability import grid_points
 from qsep.states import bell_weights
 
@@ -116,7 +116,7 @@ def test_scan_detects_werner_between_thresholds():
     # the first grid sample that goes negative sits at finite q
     weights = bell_weights(werner(0.4))
     first_negative = min(
-        q for q in default_q_grid() if _cond_value(weights, q) < 0.0
+        q for q in default_q_grid() if entropy_kernel(bell_log_pairs(weights), q) < 0.0
     )
     assert 5.0 < first_negative < 12.0
 
@@ -212,6 +212,11 @@ def test_threshold_input_validation():
         threshold_x(2.0, "bogus")
     with pytest.raises(ValueError):
         threshold_x(2.0, (0.0, 0.0, 0.0))
+    for tol in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol"):
+            threshold_x(2.0, "diag", tol)
+        with pytest.raises(ValueError, match="tol"):
+            threshold_x(2.0, "axis", tol)  # ends on the boundary, no bisection
 
 
 def test_grid_points_validation_and_endpoints():
@@ -262,3 +267,9 @@ def test_classify_state_dispatch():
     assert classify_state(s, "ar-scan").criterion == "ar-scan"
     with pytest.raises(ValueError):
         classify_state(s, "majorization")
+    # a separable state must not be called entangled through a negative band
+    separable = werner(0.2)
+    for method in ("ppt", "ar-asymptotic", "ar-scan"):
+        for tol in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="boundary_tol"):
+                classify_state(separable, method, tol)

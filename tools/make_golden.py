@@ -10,9 +10,11 @@ support. Writing u = q - 1, the second q-derivative is computed analytically,
 
     S''(q) = -R''/(2u) + R'/u^2 + (2 - R)/u^3,
 
-at 60 decimal digits with mpmath, so these numbers are fully independent of
-the production central-difference search. Roots of S'' are located by a
-dense log-grid sign scan followed by interval bisection to 1e-30.
+at 60 decimal digits with mpmath from the power sums, so these numbers are
+independent of the production kernel (which evaluates S'' in the form
+-sum_k w_k L_k^3 phi_2((q - 1) L_k), L_k = ln(2 w_k)) and of its search.
+Roots of S'' are located by a dense log-grid sign scan followed by interval
+bisection to 1e-30.
 
 Output: a table of q_I (all sign-change roots) per state, printed to stdout;
 paste the frozen values into tests/test_criticality.py when they change.

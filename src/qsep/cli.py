@@ -28,6 +28,7 @@ from .separability import (
     BOUNDARY_TOL_ANALYTIC,
     BOUNDARY_TOL_SCAN,
     ar_classify_asymptotic,
+    check_boundary_tol,
     classify_state,
     grid_cells,
     threshold_x,
@@ -327,6 +328,8 @@ def _cmd_scan(args) -> str:
     x_spec = args.xrange if args.xrange is not None else shared
     y_spec = args.yrange if args.yrange is not None else shared
     z_spec = args.zrange if args.zrange is not None else shared
+    if args.boundary_tol is not None:
+        check_boundary_tol(args.boundary_tol)
     cells = grid_cells(x_spec, y_spec, z_spec)
     worker = partial(_scan_cell_rows, method=args.method, boundary_tol=args.boundary_tol)
     rows = _parallel_rows(cells, worker, args.jobs)

@@ -134,11 +134,11 @@ class ConditionalEntropyValue:
 def rescaled_power_sum(weights: Sequence[float], q: float) -> float:
     """sum_k (2 w_k)^q over the support of a Bell-weight tuple.
 
-    Evaluated as 2 (sum_k w_k - (q - 1) S_q(B|A)) from the exact kernel, so
-    a divergent sum is +inf rather than an overflow.
+    Each term is exp(q ln(2 w_k)) from the kernel's pairs; a term that would
+    overflow is +inf, so a divergent sum is +inf rather than an error.
     """
-    pairs = bell_log_pairs(weights)
-    return 2.0 * (math.fsum([w for w, _ in pairs]) - (q - 1.0) * entropy_kernel(pairs, q))
+    return math.fsum([math.inf if q * L > _EXP_MAX else math.exp(q * L)
+                      for _, L in bell_log_pairs(weights)])
 
 
 def conditional_entropy_bell(s: BellDiagonalState, q: float) -> ConditionalEntropyValue:

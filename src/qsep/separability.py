@@ -88,10 +88,10 @@ def bisect(above, lo: float, hi: float, tol: float) -> float:
     """Midpoint of [lo, hi] after halving it to a width of at most tol.
 
     ``above(t)`` tells whether t lies on the ``hi`` side of the change being
-    located. Halving also stops once the midpoint rounds onto an end, so a
-    tol below the float spacing still returns.
+    located. tol must be finite and positive (see ``check_tolerance``).
+    Halving also stops once the midpoint rounds onto an end, so a tol below
+    the float spacing still returns.
     """
-    check_tolerance(tol, "tolerance")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -103,7 +103,8 @@ def bisect(above, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _check_band(boundary_tol: float) -> None:
+def check_boundary_tol(boundary_tol: float) -> None:
+    """Raise ValueError unless boundary_tol is finite and nonnegative."""
     if not (math.isfinite(boundary_tol) and boundary_tol >= 0.0):
         raise ValueError(f"boundary_tol must be finite and nonnegative, got {boundary_tol!r}")
 
@@ -128,7 +129,7 @@ def ppt_classify(state: TwoQubitState | np.ndarray,
     The witness is the most negative eigenvalue of the partial transpose
     (negated margin when all are positive), so positive witness = entangled.
     """
-    _check_band(boundary_tol)
+    check_boundary_tol(boundary_tol)
     if not isinstance(state, TwoQubitState):
         state = TwoQubitState.from_matrix(state)
     pt = partial_transpose(state.matrix, on="B")
@@ -150,7 +151,7 @@ def ar_residual(s: BellDiagonalState, q: float) -> float:
 def ar_classify_asymptotic(s: BellDiagonalState,
                            boundary_tol: float = BOUNDARY_TOL_ANALYTIC) -> Classification:
     """Large-q limit of the entropic criterion: max Bell weight versus 1/2."""
-    _check_band(boundary_tol)
+    check_boundary_tol(boundary_tol)
     check = is_physical(s)
     if not check:
         raise UnphysicalStateError("; ".join(check.violations))
@@ -175,7 +176,7 @@ def ar_classify_scan(s: BellDiagonalState,
     The exact asymptotic test runs alongside: if it says entangled while the
     scan sees nothing, its verdict wins (reported under its own criterion).
     """
-    _check_band(boundary_tol)
+    check_boundary_tol(boundary_tol)
     check = is_physical(s)
     if not check:
         raise UnphysicalStateError("; ".join(check.violations))
@@ -231,7 +232,7 @@ def _ray_extent(d: tuple[float, float, float]) -> float:
 def threshold_x(q: float, direction="diag", tol: float = 1e-12) -> float:
     """Ray parameter where S_q(B|A) first turns negative, for q > 1.
 
-    Bisects the sign change of the residual along t * direction inside the
+    Bisects the sign change of S_q(B|A) along t * direction inside the
     physical tetrahedron. When the whole physical segment keeps nonnegative
     conditional entropy, the ray either grazes the critical surface exactly
     at the physical boundary (the boundary parameter is returned) or never
@@ -243,21 +244,21 @@ def threshold_x(q: float, direction="diag", tol: float = 1e-12) -> float:
     d = _direction_vector(direction)
     t_max = _ray_extent(d)
 
-    def residual(t: float) -> float:
-        return ar_residual(BellDiagonalState(t * d[0], t * d[1], t * d[2]), q)
+    def entangled(t: float) -> bool:
+        # for q > 1, S_q(B|A) < 0 exactly where sum_k (2 w_k)^q > 2
+        weights = bell_weights(BellDiagonalState(t * d[0], t * d[1], t * d[2]))
+        return entropy_kernel(bell_log_pairs(weights), q) < 0.0
 
-    lo, hi = 0.0, t_max
-    f_lo, f_hi = residual(lo), residual(hi)
-    if f_lo > 0.0:
+    if entangled(0.0):
         raise BracketError("ray starts outside the nonnegative-entropy region")
-    if f_hi <= 0.0:
+    if not entangled(t_max):
         # No crossing inside the physical segment. If the endpoint sits on
         # the exact critical surface the threshold is the physical boundary.
         end = BellDiagonalState(t_max * d[0], t_max * d[1], t_max * d[2])
         if max(bell_weights(end)) >= 0.5 - BOUNDARY_TOL_ANALYTIC:
             return t_max
         raise BracketError("ray never crosses the q-threshold surface")
-    return bisect(lambda t: residual(t) > 0.0, lo, hi, tol)
+    return bisect(entangled, 0.0, t_max, tol)
 
 
 AxisSpec = tuple[float, float, int]
@@ -306,8 +307,11 @@ def region_scan(x_spec: AxisSpec, y_spec: AxisSpec, z_spec: AxisSpec,
     """Classify every physical cell of a Cartesian (x, y, z) grid.
 
     Cells are enumerated x-major (x outermost, then y, then z), and
-    non-physical cells are kept in place with no classification.
+    non-physical cells are kept in place with no classification. A given
+    boundary_tol must be finite and nonnegative, whatever the grid holds.
     """
+    if boundary_tol is not None:
+        check_boundary_tol(boundary_tol)
     cells = []
     for x, y, z in grid_cells(x_spec, y_spec, z_spec):
         s = BellDiagonalState(x, y, z)

@@ -192,6 +192,8 @@ def test_exit_code_domain_errors(capsys):
     (["qinflex", "--xyz", "0.5,0.5,0.5", "--q-max", "0.0001"], 3),
     (["classify", "--xyz", "0.2,0.2,0.2", "--boundary-tol", "-1"], 3),
     (["classify", "--xyz", "0.2,0.2,0.2", "--boundary-tol", "nan"], 3),
+    # no physical cell on this grid, so no classifier sees the band
+    (["scan", "--range=1.2:1.4:3", "--boundary-tol", "-1"], 3),
 ])
 def test_search_and_band_tolerances_exit_without_hanging(argv, expected):
     # Run in a subprocess with a timeout, so a bisection that stops

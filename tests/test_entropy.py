@@ -148,6 +148,11 @@ def test_rescaled_power_sum_values():
     assert rescaled_power_sum((0.5, 0.5, 0.0, 0.0), -1.0) == pytest.approx(2.0, abs=1e-15)
     # a divergent power sum saturates to infinity instead of raising
     assert rescaled_power_sum((0.0, 0.0, 0.0, 1.0), 5000.0) == math.inf
+    # weights below 1/2 give a sum far below 2, still to full relative precision
+    assert rescaled_power_sum((0.25,) * 4, 200.0) == pytest.approx(4 * 2.0**-200, rel=1e-12)
+    weights = (0.1, 0.2, 0.3, 0.4)
+    assert rescaled_power_sum(weights, 50.0) == pytest.approx(
+        math.fsum((2.0 * w) ** 50 for w in weights), rel=1e-12)
     assert entropy_kernel(bell_log_pairs((0.0, 0.0, 0.0, 1.0)), 5000.0) == -math.inf
 
 

@@ -246,6 +246,15 @@ def test_region_scan_structure():
         assert cell.physical == (cell.classification is not None)
 
 
+@pytest.mark.parametrize("boundary_tol", [-1.0, math.nan, math.inf])
+def test_region_scan_rejects_a_bad_band_on_any_grid(boundary_tol):
+    # (1.2, 1.2, 1.2) is not physical: no classifier runs, the band is
+    # still checked
+    for spec in ((1.2, 1.2, 1), (-3.0, 1.0, 3)):
+        with pytest.raises(ValueError, match="boundary_tol"):
+            region_scan(spec, spec, spec, boundary_tol=boundary_tol)
+
+
 def test_region_scan_methods_agree_off_boundary():
     specs = ((-3.0, 1.0, 9),) * 3
     by_ppt = region_scan(*specs, method="ppt")

@@ -1,10 +1,12 @@
 """Command-line interface for the separability toolkit.
 
 Every command is a pure function of its flags: outputs carry no timestamps,
-floats are printed with 17 significant digits, and grid commands produce
-byte-identical files regardless of the worker count. Scalar commands emit a
-JSON record tagged with the format version; grid and figure commands emit
-plain CSV (comma separated, single header row, LF line endings).
+floats are printed with 17 significant digits, and grid commands run in one
+process, so the ``--jobs`` flag they accept changes no byte. Scalar commands
+emit a JSON record tagged with the format version, or with ``--format csv``
+one CSV row (not ``qinflex``, whose bracket fields are lists); grid and
+figure commands emit plain CSV (comma separated, single header row, LF line
+endings).
 
 Exit codes: 0 success, 2 usage error, 3 domain error (unphysical state or
 invalid weights), 4 numerical failure (no bracket, eigensolver breakdown).
@@ -15,8 +17,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 
 import numpy as np
 
@@ -52,6 +52,7 @@ _FIG2_FAMILIES = (
     ("11x", lambda v: BellDiagonalState(1.0, 1.0, v)),
 )
 _FIG2_X_VALUES = (0.25, 0.5, 0.75, 1.0)
+_JOBS_HELP = "accepted for compatibility; has no effect (grids run in one process)"
 
 
 # ---------------------------------------------------------------------------
@@ -281,60 +282,37 @@ def _cmd_qinflex(args) -> str:
 # grid commands and figure emission
 
 
-def _chunked(items: list, jobs: int) -> list[list]:
-    n_chunks = max(1, min(len(items), jobs * 4))
-    bounds = [round(i * len(items) / n_chunks) for i in range(n_chunks + 1)]
-    return [items[bounds[i]:bounds[i + 1]] for i in range(n_chunks)]
+def _grid_document(header: list[str], specs, evaluate) -> str:
+    """CSV of every grid cell, x-major, under ``header``: x, y, z, physical,
+    then the fields ``evaluate`` returns for a physical cell, left empty for
+    the others."""
+    padding = (None,) * (len(header) - 4)
 
+    def rows():
+        for x, y, z in grid_cells(*specs):
+            s = BellDiagonalState(x, y, z)
+            if is_physical(s):
+                yield (x, y, z, 1, *evaluate(s))
+            else:
+                yield (x, y, z, 0, *padding)
 
-def _parallel_rows(cells: list, worker, jobs: int) -> list:
-    if jobs <= 1 or len(cells) < 64:
-        return worker(cells)
-    parts = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(worker, _chunked(cells, jobs)):
-            parts.extend(part)
-    return parts
-
-
-def _scan_cell_rows(cells, method: str, boundary_tol: float | None) -> list:
-    rows = []
-    for x, y, z in cells:
-        s = BellDiagonalState(x, y, z)
-        if is_physical(s):
-            c = classify_state(s, method, boundary_tol)
-            rows.append((x, y, z, 1, c.verdict, c.criterion, c.witness, c.witness_q))
-        else:
-            rows.append((x, y, z, 0, None, None, None, None))
-    return rows
-
-
-def _fig3_cell_rows(cells) -> list:
-    rows = []
-    for x, y, z in cells:
-        s = BellDiagonalState(x, y, z)
-        if is_physical(s):
-            verdict = ar_classify_asymptotic(s).verdict
-            eta = order_parameter(s).eta
-            rows.append((x, y, z, 1, verdict, eta))
-        else:
-            rows.append((x, y, z, 0, None, None))
-    return rows
+    return _csv_document(header, rows())
 
 
 def _cmd_scan(args) -> str:
     default = (-3.0, 1.0, 21)
     shared = args.range if args.range is not None else default
-    x_spec = args.xrange if args.xrange is not None else shared
-    y_spec = args.yrange if args.yrange is not None else shared
-    z_spec = args.zrange if args.zrange is not None else shared
+    specs = [spec if spec is not None else shared
+             for spec in (args.xrange, args.yrange, args.zrange)]
     if args.boundary_tol is not None:
         check_boundary_tol(args.boundary_tol)
-    cells = grid_cells(x_spec, y_spec, z_spec)
-    worker = partial(_scan_cell_rows, method=args.method, boundary_tol=args.boundary_tol)
-    rows = _parallel_rows(cells, worker, args.jobs)
+
+    def classify(s):
+        c = classify_state(s, args.method, args.boundary_tol)
+        return c.verdict, c.criterion, c.witness, c.witness_q
+
     header = ["x", "y", "z", "physical", "verdict", "criterion", "witness", "witness_q"]
-    return _csv_document(header, rows)
+    return _grid_document(header, specs, classify)
 
 
 def _rank_deficient(s: BellDiagonalState) -> bool:
@@ -382,11 +360,12 @@ def _figure_fig2() -> str:
     return _csv_document(["label", "q", "S_q_cond"], rows)
 
 
-def _figure_fig3(jobs: int) -> str:
+def _figure_fig3() -> str:
     spec = (-3.0, 1.0, 41)
-    cells = grid_cells(spec, spec, spec)
-    rows = _parallel_rows(cells, _fig3_cell_rows, jobs)
-    return _csv_document(["x", "y", "z", "physical", "verdict", "eta"], rows)
+    return _grid_document(
+        ["x", "y", "z", "physical", "verdict", "eta"], (spec, spec, spec),
+        lambda s: (ar_classify_asymptotic(s).verdict, order_parameter(s).eta),
+    )
 
 
 def _cmd_figure(args) -> str:
@@ -396,7 +375,7 @@ def _cmd_figure(args) -> str:
         return _figure_fig1b()
     if args.which == "fig2":
         return _figure_fig2()
-    return _figure_fig3(args.jobs)
+    return _figure_fig3()
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +431,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xyz", type=_xyz_type, required=True)
     p.add_argument("--q-max", type=float, default=Q_MAX_DEFAULT)
     p.add_argument("--refine-tol", type=float, default=REFINE_TOL_DEFAULT)
-    _add_output_flags(p)
+    # the bracket fields are lists, which a single CSV row cannot hold
+    _add_output_flags(p, formats=("json",))
     p.set_defaults(func=_cmd_qinflex)
 
     p = sub.add_parser("figure", help="emit a figure dataset as CSV")
     p.add_argument("which", choices=("fig1a", "fig1b", "fig2", "fig3"))
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     _add_output_flags(p, formats=())
     p.set_defaults(func=_cmd_figure)
 
@@ -470,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("ppt", "ar-asymptotic", "ar-scan"),
                    default="ar-asymptotic")
     p.add_argument("--boundary-tol", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     _add_output_flags(p, formats=())
     p.set_defaults(func=_cmd_scan)
 

@@ -14,13 +14,23 @@ vertex; at the exact vertices eta = 1 is assigned by that limit convention.
 The search is resolution limited: close to the critical planes q_I grows
 without bound, and any state whose q_I exceeds ``q_max`` (default 200)
 reports no inflexion. The second derivative is the exact one of
-``entropy.entropy_kernel``; its sign is scanned on a log-spaced grid and the
-first sign change is bisected to ``refine_tol``.
+``entropy.entropy_kernel``. Its own q-derivative,
+
+    S'''(q) = -sum_k w_k L_k^4 phi_3((q - 1) L_k),  phi_3 > 0,
+
+is negative unless every L_k = ln(2 w_k) vanishes (two weights of 1/2, where
+S'' = 0 throughout). So S'' falls strictly in q and changes sign at most
+once, from + to -. The search binary-searches a log-spaced grid of
+SEARCH_POINTS points for the first one where S'' < 0 and bisects the interval
+ending there to ``refine_tol``, provided S'' is finite at both ends and
+changes sign across it. States with S'' = 0 throughout, a root below Q_FLOOR,
+or S'' overflowing at the end of the interval report no inflexion.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +52,10 @@ class CriticalityReport:
     """Inflexion search outcome plus the diagnostics behind it.
 
     ``bracket`` is the grid interval whose sign change was refined (None if
-    none was found), with the second-derivative values at its ends;
-    ``extra_brackets`` lists any further sign-change intervals on the grid.
+    none was found), with the second-derivative values at its ends.
+    ``extra_brackets`` would list further sign-change intervals on the grid;
+    S''' < 0 leaves S'' strictly decreasing, so there is never a second one
+    and it is always empty.
     """
 
     q_inflexion: float | None
@@ -68,25 +80,26 @@ def _checked_weights(s: BellDiagonalState, q_max: float,
 def _search(weights, q_max: float, refine_tol: float) -> CriticalityReport:
     pairs = bell_log_pairs(weights)
     grid = np.geomspace(Q_FLOOR, q_max, SEARCH_POINTS).tolist()
-    d2 = [entropy_kernel(pairs, q, 2) for q in grid]
-    brackets = []
-    for k in range(len(grid) - 1):
-        a, b = d2[k], d2[k + 1]
+
+    def concave(q: float) -> bool:
+        return entropy_kernel(pairs, q, 2) < 0.0
+
+    # S'' falls in q, so the grid holds at most one sign change, and it sits
+    # just before the first concave point.
+    k = bisect_left(grid, True, key=concave)
+    if 0 < k < len(grid):
+        lo, hi = grid[k - 1], grid[k]
+        a, b = entropy_kernel(pairs, lo, 2), entropy_kernel(pairs, hi, 2)
         if math.isfinite(a) and math.isfinite(b) and a * b < 0.0:
-            brackets.append(k)
-    if not brackets:
-        return CriticalityReport(None, 0.0, None, None, ())
-    k = brackets[0]
-    lo_negative = d2[k] < 0.0
-    q_inflexion = bisect(lambda q: (entropy_kernel(pairs, q, 2) < 0.0) != lo_negative,
-                         grid[k], grid[k + 1], refine_tol)
-    return CriticalityReport(
-        q_inflexion=q_inflexion,
-        eta=1.0 / (1.0 + q_inflexion),
-        bracket=(grid[k], grid[k + 1]),
-        d2_at_bracket=(d2[k], d2[k + 1]),
-        extra_brackets=tuple((grid[j], grid[j + 1]) for j in brackets[1:]),
-    )
+            q_inflexion = bisect(concave, lo, hi, refine_tol)
+            return CriticalityReport(
+                q_inflexion=q_inflexion,
+                eta=1.0 / (1.0 + q_inflexion),
+                bracket=(lo, hi),
+                d2_at_bracket=(a, b),
+                extra_brackets=(),
+            )
+    return CriticalityReport(None, 0.0, None, None, ())
 
 
 def inflexion_point(s: BellDiagonalState, q_max: float = Q_MAX_DEFAULT,

@@ -1,8 +1,12 @@
-"""Deterministic random-draw helpers shared by the test modules."""
+"""Random-draw helpers shared by the test modules: seeded numpy draws and
+hypothesis strategies."""
 
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
+
+from qsep import BellDiagonalState
 
 
 def random_physical_triples(rng: np.random.Generator, n: int) -> list[tuple[float, float, float]]:
@@ -35,3 +39,23 @@ def random_octahedron_interior(rng: np.random.Generator, n: int,
         if -1.0 + margin <= x + y + z <= 1.0 - margin:
             points.append((float(x), float(y), float(z)))
     return points
+
+
+def state_from_weights(weights) -> BellDiagonalState:
+    """The state with Bell weights (w1, w2, w3, w4); the trace fixes w4."""
+    w1, w2, w3, _ = weights
+    return BellDiagonalState(1.0 - 4.0 * w1, 1.0 - 4.0 * w2, 1.0 - 4.0 * w3)
+
+
+def _state_from_cuts(cuts: list[float]) -> BellDiagonalState:
+    a, b, c = sorted(cuts)
+    return state_from_weights((a, b - a, c - b, 1.0 - c))
+
+
+def tetrahedron_states():
+    """Hypothesis strategy for states uniform in the physical tetrahedron.
+
+    The gaps between three sorted uniform cuts of [0, 1] are uniform on the
+    Bell-weight simplex; the fourth weight is what the state's trace leaves.
+    """
+    return st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).map(_state_from_cuts)

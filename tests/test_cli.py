@@ -217,12 +217,23 @@ def test_exit_code_usage_errors(capsys):
     assert run_cli(capsys, "scan", "--range", "0:1")[0] == 2
     assert run_cli(capsys, "scan", "--range", "1:0:5")[0] == 2
     assert run_cli(capsys, "threshold", "--q", "2", "--direction", "north")[0] == 2
+    # the qinflex payload holds lists, which one CSV row cannot
+    assert run_cli(capsys, "qinflex", "--xyz", "0.6,0.6,0.6", "--format", "csv")[0] == 2
     assert run_cli(capsys, "nonsense")[0] == 2
     assert run_cli(capsys)[0] == 2
 
 
 def test_help_exits_cleanly(capsys):
     assert run_cli(capsys, "--help")[0] == 0
+
+
+def test_cli_import_leaves_process_pools_out():
+    # Grids run in one process; importing a pool would only add startup time.
+    probe = ("import sys, qsep.cli; "
+             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=package_env(), timeout=60, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_out_flag_writes_identical_bytes(tmp_path, capsys):

@@ -2,8 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import qsep.criticality
 from qsep import (
     BellDiagonalState,
     UnphysicalStateError,
@@ -12,10 +16,18 @@ from qsep import (
     order_parameter,
     werner,
 )
-from qsep.criticality import Q_FLOOR
+from qsep.criticality import (
+    Q_FLOOR,
+    Q_MAX_DEFAULT,
+    REFINE_TOL_DEFAULT,
+    SEARCH_POINTS,
+    CriticalityReport,
+)
 from qsep.entropy import bell_log_pairs, entropy_kernel
-from qsep.separability import grid_points
+from qsep.separability import bisect, grid_points
 from qsep.states import bell_weights
+
+from helpers import state_from_weights, tetrahedron_states
 
 # Inflexion locations frozen from an independent 60-digit-precision solver
 # (analytic second derivative, dense log grid, bisection to 1e-30) before the
@@ -165,3 +177,80 @@ def test_eta_field_matches_pointwise_evaluation():
     assert rows[1][:3] == (pts[0], pts[0], pts[1])  # z varies fastest
     for x, y, z, eta in rows:
         assert eta == order_parameter(BellDiagonalState(x, y, z)).eta
+
+
+# ---------------------------------------------------------------------------
+# the binary search against the linear scan it replaced
+
+
+def linear_scan_report(s: BellDiagonalState, q_max: float) -> CriticalityReport:
+    """Reference: S'' at every grid point, every finite sign change listed,
+    the first one bisected. order_parameter ran this scan before it used
+    S''' < 0 to binary-search the grid."""
+    pairs = bell_log_pairs(bell_weights(s))
+    grid = np.geomspace(Q_FLOOR, q_max, SEARCH_POINTS).tolist()
+    d2 = [entropy_kernel(pairs, q, 2) for q in grid]
+    brackets = [k for k in range(len(grid) - 1)
+                if math.isfinite(d2[k]) and math.isfinite(d2[k + 1]) and d2[k] * d2[k + 1] < 0.0]
+    if not brackets:
+        return CriticalityReport(None, 0.0, None, None, ())
+    k = brackets[0]
+    lo_negative = d2[k] < 0.0
+    q = bisect(lambda t: (entropy_kernel(pairs, t, 2) < 0.0) != lo_negative,
+               grid[k], grid[k + 1], REFINE_TOL_DEFAULT)
+    return CriticalityReport(q, 1.0 / (1.0 + q), (grid[k], grid[k + 1]), (d2[k], d2[k + 1]),
+                             tuple((grid[j], grid[j + 1]) for j in brackets[1:]))
+
+
+SEARCH_Q_MAX = (5.0, Q_MAX_DEFAULT, 1e4)
+
+
+@settings(derandomize=True, deadline=None)
+@given(tetrahedron_states(), st.sampled_from(SEARCH_Q_MAX))
+def test_binary_search_matches_the_linear_scan(s, q_max):
+    assume(max(bell_weights(s)) < 1.0 - 1e-12)  # vertices short-circuit
+    assert order_parameter(s, q_max=q_max) == linear_scan_report(s, q_max)
+
+
+@pytest.mark.parametrize("q_max", SEARCH_Q_MAX)
+@pytest.mark.parametrize("weights", [
+    (0.5, 0.5, 0.0, 0.0),  # every L_k = 0: S'' = 0 throughout
+    (1e-3 / 3, 1e-3 / 3, 1e-3 / 3, 1.0 - 1e-3),  # 1e-3 from the psi- vertex
+])
+def test_binary_search_matches_the_linear_scan_at_the_edges(weights, q_max):
+    s = state_from_weights(weights)
+    assert order_parameter(s, q_max=q_max) == linear_scan_report(s, q_max)
+
+
+@settings(derandomize=True, deadline=None)
+@given(tetrahedron_states())
+def test_second_derivative_is_non_increasing_on_the_search_grid(s):
+    pairs = bell_log_pairs(bell_weights(s))
+    d2 = [entropy_kernel(pairs, q, 2)
+          for q in np.geomspace(Q_FLOOR, Q_MAX_DEFAULT, SEARCH_POINTS).tolist()]
+    assert all(a >= b for a, b in zip(d2, d2[1:]))
+
+
+@pytest.mark.parametrize("t, most", [(0.2, 12), (0.6, 50)])
+def test_search_evaluates_few_second_derivatives(monkeypatch, t, most):
+    # a scan of every grid point makes SEARCH_POINTS = 240 evaluations
+    orders = []
+    kernel = qsep.criticality.entropy_kernel
+
+    def counting(pairs, q, n=0):
+        orders.append(n)
+        return kernel(pairs, q, n)
+
+    monkeypatch.setattr(qsep.criticality, "entropy_kernel", counting)
+    order_parameter(werner(t))
+    assert orders == [2] * len(orders)
+    assert 0 < len(orders) <= most
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.sampled_from(VERTICES), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_eta_is_non_decreasing_along_rays_into_each_vertex(vertex, t1, t2):
+    near, far = sorted((t1, t2))
+    eta_near = order_parameter(BellDiagonalState(*(near * v for v in vertex))).eta
+    eta_far = order_parameter(BellDiagonalState(*(far * v for v in vertex))).eta
+    assert eta_near <= eta_far

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -217,3 +217,15 @@ def test_conditional_entropy_sign_tracks_max_weight(t, q):
         assert value < 0.0
     elif residual < -1e-12:
         assert value > 0.0
+
+
+@settings(derandomize=True, deadline=None)
+@given(helpers.tetrahedron_states(), st.floats(1.0, 50.0, exclude_min=True))
+def test_conditional_entropy_sign_is_the_power_sum_margin(s, q):
+    # S_q(B|A) = (2 - sum_k (2 w_k)^q) / (2 (q - 1)), so for q > 1 the two
+    # share a sign; the margin is summed here from plain powers, apart from
+    # the kernel. Margins within rounding of zero are left out.
+    margin = 2.0 - math.fsum((2.0 * w) ** q for w in bell_weights(s) if w > 0.0)
+    assume(abs(margin) > 1e-12)
+    value = conditional_entropy_bell(s, q).value
+    assert math.copysign(1.0, value) == math.copysign(1.0, margin)

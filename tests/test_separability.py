@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 import helpers
 from qsep import (
@@ -22,7 +23,7 @@ from qsep import (
     werner,
 )
 from qsep.entropy import bell_log_pairs, entropy_kernel
-from qsep.separability import grid_points
+from qsep.separability import BOUNDARY_TOL_ANALYTIC, grid_points
 from qsep.states import bell_weights
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
@@ -41,6 +42,18 @@ def test_ppt_werner_anchors():
     ent = ppt_classify(bell_diagonal_density(werner(0.5)))
     assert ent.verdict == "entangled"
     assert ent.witness == pytest.approx(0.125, abs=1e-12)
+
+
+@settings(derandomize=True, deadline=None)
+@given(helpers.tetrahedron_states())
+def test_ppt_verdict_is_the_max_weight_plane(s):
+    # Peres test against the paper's plane criterion: entangled iff a Bell
+    # weight exceeds 1/2. Draws inside the boundary band, or within 1e-12 of
+    # its edge (the eigensolver's rounding), are left out.
+    margin = max(bell_weights(s)) - 0.5
+    assume(abs(margin) > BOUNDARY_TOL_ANALYTIC + 1e-12)
+    verdict = ppt_classify(bell_diagonal_density(s)).verdict
+    assert verdict == ("entangled" if margin > 0.0 else "separable")
 
 
 def test_ppt_accepts_raw_matrices():

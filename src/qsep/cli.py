@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import product
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .separability import (
     ar_classify_asymptotic,
     check_boundary_tol,
     classify_state,
-    grid_cells,
+    grid_axes,
     threshold_x,
 )
 from .states import BellDiagonalState, bell_weights, is_physical
@@ -285,18 +286,23 @@ def _cmd_qinflex(args) -> str:
 def _grid_document(header: list[str], specs, evaluate) -> str:
     """CSV of every grid cell, x-major, under ``header``: x, y, z, physical,
     then the fields ``evaluate`` returns for a physical cell, left empty for
-    the others."""
-    padding = (None,) * (len(header) - 4)
+    the others.
 
-    def rows():
-        for x, y, z in grid_cells(*specs):
-            s = BellDiagonalState(x, y, z)
-            if is_physical(s):
-                yield (x, y, z, 1, *evaluate(s))
-            else:
-                yield (x, y, z, 0, *padding)
-
-    return _csv_document(header, rows())
+    Each axis point is formatted once, by position: a cache keyed on the
+    float would print -0.0 wherever 0.0 came first, as 0.0 == -0.0.
+    """
+    axes = grid_axes(*specs)
+    labelled = [list(zip(axis, map(_csv_field, axis))) for axis in axes]
+    unphysical = ",0" + "," * (len(header) - 4)
+    lines = [",".join(header)]
+    for (x, fx), (y, fy), (z, fz) in product(*labelled):
+        s = BellDiagonalState(x, y, z)
+        if is_physical(s):
+            fields = ",".join(map(_csv_field, evaluate(s)))
+            lines.append(f"{fx},{fy},{fz},1,{fields}")
+        else:
+            lines.append(f"{fx},{fy},{fz}{unphysical}")
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_scan(args) -> str:

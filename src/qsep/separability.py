@@ -10,19 +10,24 @@ Three routes, deliberately independent of each other:
   the octahedron |x|, |y|, |z| bounded by the planes x + y + z = 1 and its
   symmetry images out of the physical tetrahedron.
 * ``ar_classify_scan`` samples the conditional entropy over a q grid and
-  flags entanglement when any sample is negative. The scan can only confirm
-  an asymptotic "entangled" verdict, never override it.
+  flags entanglement when any sample is negative. Since S_q(B|A) falls in
+  q, it evaluates the grid's largest q and binary-searches where the
+  minimum is first reached. The scan can only confirm an asymptotic
+  "entangled" verdict, never override it.
 
 ``threshold_x`` finds where a parameter ray leaves the region with
 nonnegative conditional entropy at fixed q, and ``region_scan`` sweeps a
-Cartesian grid with a chosen classifier. ``bisect`` and ``grid_cells`` are
-the one bisection and the one grid enumeration the package uses.
+Cartesian grid with a chosen classifier. ``bisect`` is the one bisection
+the package uses; ``grid_axes`` makes the points of every grid, capped at
+MAX_GRID_CELLS cells, and its x-major product is the one grid enumeration.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -173,6 +178,16 @@ def ar_classify_scan(s: BellDiagonalState,
                      boundary_tol: float = BOUNDARY_TOL_SCAN) -> Classification:
     """Scan S_q(B|A) over a q grid; entangled iff any sample is negative.
 
+    S_q(B|A) decreases in q: S'(q) = -sum_k w_k L_k^2 phi_1((q-1) L_k) with
+    phi_1 > 0, and it is flat only where every weight on the support is 1/2.
+    So the smallest sample, the witness, is the one at the grid's largest q.
+    witness_q is the smallest grid q whose sample is no larger than that,
+    found by binary search over the sorted grid: about log2(len) kernel
+    calls. Ties arise where the samples overflow to -inf (a Bell weight
+    above about 0.71 at q in the thousands) and on the flat curve; for an
+    ascending grid such as the default, witness_q is then the first minimal
+    sample a linear scan would meet. Grid samples must be finite.
+
     The exact asymptotic test runs alongside: if it says entangled while the
     scan sees nothing, its verdict wins (reported under its own criterion).
     """
@@ -181,17 +196,22 @@ def ar_classify_scan(s: BellDiagonalState,
     if not check:
         raise UnphysicalStateError("; ".join(check.violations))
     if q_grid is None:
-        q_grid = _DEFAULT_Q_GRID
-    if not q_grid:
-        raise ValueError("q_grid must contain at least one sample")
+        grid = _DEFAULT_Q_GRID
+    else:
+        grid = sorted(q_grid)
+        if not grid:
+            raise ValueError("q_grid must contain at least one sample")
+        if not all(math.isfinite(q) for q in grid):
+            raise ValueError("q_grid samples must be finite")
     pairs = bell_log_pairs(bell_weights(s))
-    min_value = math.inf
-    min_q = None
-    for q in q_grid:
-        value = entropy_kernel(pairs, q)
-        if value < min_value:
-            min_value = value
-            min_q = q
+    min_value = entropy_kernel(pairs, grid[-1])
+    if min_value == math.inf:
+        # every sample diverges (only possible below q = 1): none is a minimum
+        min_q = None
+    else:
+        first = bisect_left(grid, True, hi=len(grid) - 1,
+                            key=lambda q: entropy_kernel(pairs, q) <= min_value)
+        min_q = grid[first]
     asymptotic = ar_classify_asymptotic(s, BOUNDARY_TOL_ANALYTIC)
     if min_value < -boundary_tol:
         return Classification("entangled", "ar-scan", min_value, min_q)
@@ -262,6 +282,8 @@ def threshold_x(q: float, direction="diag", tol: float = 1e-12) -> float:
 
 
 AxisSpec = tuple[float, float, int]
+# Largest grid grid_axes accepts: 2^22 = 4,194,304 cells, room for 161^3.
+MAX_GRID_CELLS = 2**22
 
 
 def grid_points(spec: AxisSpec, name: str) -> tuple[float, ...]:
@@ -277,13 +299,25 @@ def grid_points(spec: AxisSpec, name: str) -> tuple[float, ...]:
     return tuple(float(v) for v in np.linspace(lo, hi, count))
 
 
+def grid_axes(x_spec: AxisSpec, y_spec: AxisSpec,
+              z_spec: AxisSpec) -> tuple[tuple[float, ...], ...]:
+    """The x, y and z points of a Cartesian grid of at most MAX_GRID_CELLS
+    cells; a larger grid raises ValueError before any point is made."""
+    cells = math.prod(int(spec[2]) for spec in (x_spec, y_spec, z_spec))
+    if cells > MAX_GRID_CELLS:
+        raise ValueError(
+            f"grid of {cells} cells exceeds the cap of MAX_GRID_CELLS = {MAX_GRID_CELLS}"
+        )
+    return grid_points(x_spec, "x"), grid_points(y_spec, "y"), grid_points(z_spec, "z")
+
+
 def grid_cells(x_spec: AxisSpec, y_spec: AxisSpec,
                z_spec: AxisSpec) -> list[tuple[float, float, float]]:
-    """(x, y, z) cells of a Cartesian grid, x-major: x outermost, z fastest."""
-    xs = grid_points(x_spec, "x")
-    ys = grid_points(y_spec, "y")
-    zs = grid_points(z_spec, "z")
-    return [(x, y, z) for x in xs for y in ys for z in zs]
+    """(x, y, z) cells of a Cartesian grid, x-major: x outermost, z fastest.
+
+    This is ``itertools.product`` over ``grid_axes``, whose cap it shares.
+    """
+    return list(product(*grid_axes(x_spec, y_spec, z_spec)))
 
 
 def classify_state(s: BellDiagonalState, method: str,
@@ -312,12 +346,12 @@ def region_scan(x_spec: AxisSpec, y_spec: AxisSpec, z_spec: AxisSpec,
     """
     if boundary_tol is not None:
         check_boundary_tol(boundary_tol)
+    xs, ys, zs = axes = grid_axes(x_spec, y_spec, z_spec)
     cells = []
-    for x, y, z in grid_cells(x_spec, y_spec, z_spec):
+    for x, y, z in product(*axes):
         s = BellDiagonalState(x, y, z)
         if is_physical(s):
             cells.append(GridCell(x, y, z, True, classify_state(s, method, boundary_tol)))
         else:
             cells.append(GridCell(x, y, z, False, None))
-    return RegionGrid(xs=grid_points(x_spec, "x"), ys=grid_points(y_spec, "y"),
-                      zs=grid_points(z_spec, "z"), cells=tuple(cells))
+    return RegionGrid(xs=xs, ys=ys, zs=zs, cells=tuple(cells))

@@ -94,6 +94,10 @@ def bell_projectors() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return tuple(mats)
 
 
+# Built once: bell_diagonal_density sums these for every state.
+_BELL_PROJECTORS = bell_projectors()
+
+
 @dataclass(frozen=True, eq=False)
 class TwoQubitState:
     """A validated 4x4 density matrix.
@@ -133,7 +137,7 @@ def bell_diagonal_density(s: BellDiagonalState) -> TwoQubitState:
         raise UnphysicalStateError("; ".join(check.violations))
     weights = bell_weights(s)
     m = np.zeros((4, 4), dtype=np.complex128)
-    for w, proj in zip(weights, bell_projectors()):
+    for w, proj in zip(weights, _BELL_PROJECTORS):
         m += w * proj
     return TwoQubitState(matrix=m)
 

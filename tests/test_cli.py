@@ -25,8 +25,8 @@ except ModuleNotFoundError:  # Python 3.10: pytest itself depends on tomli
     import tomli as tomllib
 
 import qsep
-from qsep import threshold_x
-from qsep.cli import main
+from qsep import region_scan, threshold_x
+from qsep.cli import _csv_document, main
 from test_entropy import lowest_curve, uppermost_curve
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
@@ -194,6 +194,8 @@ def test_exit_code_domain_errors(capsys):
     (["classify", "--xyz", "0.2,0.2,0.2", "--boundary-tol", "nan"], 3),
     # no physical cell on this grid, so no classifier sees the band
     (["scan", "--range=1.2:1.4:3", "--boundary-tol", "-1"], 3),
+    # 2000^3 cells, above the grid cap: refused before any cell is made
+    (["scan", "--range=-3:1:2000"], 3),
 ])
 def test_search_and_band_tolerances_exit_without_hanging(argv, expected):
     # Run in a subprocess with a timeout, so a bisection that stops
@@ -389,6 +391,32 @@ def test_scan_outside_the_tetrahedron_classifies_nothing(capsys):
     _, rows = read_csv_text(out)
     assert len(rows) == 3
     assert all(r[3] == "0" and r[4] == "" for r in rows)
+
+
+@pytest.mark.parametrize("method", ["ppt", "ar-asymptotic", "ar-scan"])
+def test_scan_rows_are_the_region_scan_cells(capsys, method):
+    # -1:1:3 holds non-physical cells such as (-1, -1, -1) and the state
+    # (-1, -1, 1), whose weights are (1/2, 1/2, 0, 0)
+    spec = (-1.0, 1.0, 3)
+    code, out, _ = run_cli(capsys, "scan", "--range=-1:1:3", "--method", method)
+    assert code == 0
+    rows = []
+    for cell in region_scan(spec, spec, spec, method=method).cells:
+        c = cell.classification
+        fields = (None,) * 4 if c is None else (c.verdict, c.criterion, c.witness, c.witness_q)
+        rows.append((cell.x, cell.y, cell.z, cell.physical, *fields))
+    header = ["x", "y", "z", "physical", "verdict", "criterion", "witness", "witness_q"]
+    assert out == _csv_document(header, rows)
+    assert "\n-1,-1,1,1," in out and "\n-1,-1,-1,0,,,,\n" in out
+
+
+def test_scan_keeps_the_sign_of_a_zero_coordinate(capsys):
+    # 0.0 == -0.0, so formatting by value rather than by axis position
+    # would print whichever zero came first
+    code, out, _ = run_cli(capsys, "scan", "--xrange=-0:-0:1", "--yrange=0:0:1",
+                           "--zrange=0:0:1")
+    assert code == 0
+    assert out.splitlines()[1].startswith("-0,0,0,1,")
 
 
 def test_scan_methods_and_axis_overrides(capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
+import qsep.linalg
 from qsep import (
     ConvergenceError,
     NumericalError,
@@ -18,6 +19,7 @@ from qsep import (
     trace_power,
     werner,
 )
+from qsep.cli import main
 from qsep.states import BellDiagonalState, bell_weights
 
 
@@ -92,6 +94,25 @@ def test_jacobi_matches_reference_solver(rng):
             got = hermitian_eigenvalues(m).values
             expected = sorted(np.linalg.eigvalsh(m), reverse=True)
             assert got == pytest.approx(expected, abs=1e-11 * max(1.0, abs(scale)))
+    # the matrices the ppt classifier solves: Bell-diagonal densities and
+    # their partial transposes
+    for xyz in helpers.random_physical_triples(rng, 100):
+        rho = bell_diagonal_density(BellDiagonalState(*xyz)).matrix
+        for m in (rho, partial_transpose(rho, "B")):
+            got = hermitian_eigenvalues(m).values
+            expected = sorted(np.linalg.eigvalsh(m), reverse=True)
+            assert got == pytest.approx(expected, abs=1e-12)
+
+
+def test_jacobi_raises_when_the_sweeps_run_out(monkeypatch, capsys):
+    monkeypatch.setattr(qsep.linalg, "MAX_SWEEPS", 0)
+    m = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
+    with pytest.raises(ConvergenceError, match="0 sweeps"):
+        hermitian_eigenvalues(m)
+    # the CLI reports an eigensolver breakdown as a numerical failure
+    assert main(["classify", "--method", "ppt", "--xyz", "0.3,-0.2,0.1"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and "did not converge" in err
 
 
 def test_hermitian_eigenvalues_rejects_asymmetry():

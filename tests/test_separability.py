@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from qsep import (
@@ -22,8 +23,18 @@ from qsep import (
     threshold_x,
     werner,
 )
+import qsep.separability
+from qsep.criticality import eta_field
 from qsep.entropy import bell_log_pairs, entropy_kernel
-from qsep.separability import BOUNDARY_TOL_ANALYTIC, grid_points
+from qsep.separability import (
+    BOUNDARY_TOL_ANALYTIC,
+    BOUNDARY_TOL_SCAN,
+    MAX_GRID_CELLS,
+    Classification,
+    grid_axes,
+    grid_cells,
+    grid_points,
+)
 from qsep.states import bell_weights
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
@@ -178,6 +189,90 @@ def test_scan_defers_to_asymptotic_near_the_plane():
 def test_scan_rejects_empty_grid():
     with pytest.raises(ValueError):
         ar_classify_scan(werner(0.2), q_grid=())
+    # nor can a grid with a non-finite sample be sorted and searched
+    for q in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ar_classify_scan(werner(0.2), q_grid=(2.0, q))
+
+
+def linear_scan_classification(s, q_grid=None):
+    """The scan as a plain loop over every grid sample, in the grid's order:
+    the witness is the first smallest sample met."""
+    grid = default_q_grid() if q_grid is None else q_grid
+    pairs = bell_log_pairs(bell_weights(s))
+    min_value = math.inf
+    min_q = None
+    for q in grid:
+        value = entropy_kernel(pairs, q)
+        if value < min_value:
+            min_value = value
+            min_q = q
+    asymptotic = ar_classify_asymptotic(s, BOUNDARY_TOL_ANALYTIC)
+    if min_value < -BOUNDARY_TOL_SCAN:
+        return Classification("entangled", "ar-scan", min_value, min_q)
+    if asymptotic.verdict in ("entangled", "boundary"):
+        return asymptotic
+    return Classification("separable", "ar-scan", min_value, min_q)
+
+
+# out of order, and reaching q = 1e4, where S_q of an entangled state is
+# far below the default grid's
+UNSORTED_Q_GRID = (0.5, 2.0, 1e4, 3.0, 1e3)
+# ascending past q = 1e3, where S_q overflows to -inf for a Bell weight above
+# about 0.71: the minimum is then tied over several samples
+LONG_Q_GRID = default_q_grid() + (1e3, 2e3, 5e3, 1e4)
+EDGE_WEIGHTS = [
+    (0.5, 0.5, 0.0, 0.0),  # S_q = 0 at every q: each sample is the minimum
+    (0.5 + 1e-14, 0.5 - 1e-14, 0.0, 0.0),
+    (0.5, 0.5 - 1e-16, 1e-16, 0.0),
+]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(helpers.tetrahedron_states(), st.sampled_from([None, UNSORTED_Q_GRID, LONG_Q_GRID]))
+def test_scan_equals_the_linear_scan(s, q_grid):
+    assert ar_classify_scan(s, q_grid) == linear_scan_classification(s, q_grid)
+
+
+@pytest.mark.parametrize("q_grid", [None, UNSORTED_Q_GRID, LONG_Q_GRID])
+@pytest.mark.parametrize("weights", EDGE_WEIGHTS)
+def test_scan_equals_the_linear_scan_at_two_half_weights(weights, q_grid):
+    s = helpers.state_from_weights(weights)
+    assert ar_classify_scan(s, q_grid) == linear_scan_classification(s, q_grid)
+
+
+def test_scan_reports_the_first_of_tied_minima():
+    # the psi- weight 0.9925 overflows S_q to -inf from q = 2e3 on
+    result = ar_classify_scan(werner(0.99), LONG_Q_GRID)
+    assert result == Classification("entangled", "ar-scan", -math.inf, 2e3)
+    assert result == linear_scan_classification(werner(0.99), LONG_Q_GRID)
+
+
+def test_scan_with_every_sample_divergent_has_no_location():
+    # below q = 1 the samples of werner(0.2) overflow to +inf: none is a
+    # minimum the loop would record
+    grid = (-2000.0, -1000.0)
+    result = ar_classify_scan(werner(0.2), grid)
+    assert result == Classification("separable", "ar-scan", math.inf, None)
+    assert result == linear_scan_classification(werner(0.2), grid)
+
+
+def test_scan_evaluates_few_samples(monkeypatch):
+    # S_q(B|A) falls with q, so the minimum is the last sample and its first
+    # occurrence is a binary search away: at most 8 kernel calls, not 64.
+    calls = []
+
+    def counting_kernel(pairs, q, n=0):
+        calls.append(q)
+        return entropy_kernel(pairs, q, n)
+
+    monkeypatch.setattr(qsep.separability, "entropy_kernel", counting_kernel)
+    states = [werner(0.2), werner(0.6), BellDiagonalState(0.3, -0.2, 0.1)]
+    states += [helpers.state_from_weights(w) for w in EDGE_WEIGHTS]
+    for s in states:
+        calls.clear()
+        ar_classify_scan(s)
+        assert 0 < len(calls) <= 8
 
 
 def test_threshold_diagonal_at_q_two():
@@ -243,6 +338,29 @@ def test_grid_points_validation_and_endpoints():
         grid_points((-4.0, 1.0, 5), "x")
     with pytest.raises(ValueError):
         grid_points((0.0, 2.0, 5), "z")
+
+
+def test_grids_above_the_cap_raise_before_any_point_is_made(monkeypatch):
+    def no_points(spec, name):
+        raise AssertionError("grid points made for an oversized grid")
+
+    monkeypatch.setattr(qsep.separability, "grid_points", no_points)
+    spec = (-3.0, 1.0, 2000)
+    for build in (grid_axes, grid_cells, region_scan, eta_field):
+        with pytest.raises(ValueError, match=f"MAX_GRID_CELLS = {MAX_GRID_CELLS}"):
+            build(spec, spec, spec)
+
+
+def test_grid_cap_holds_161_cubed_and_is_inclusive():
+    assert MAX_GRID_CELLS >= 161**3
+    axes = grid_axes((-3.0, 1.0, 161), (-3.0, 1.0, 161), (-3.0, 1.0, 161))
+    assert [len(a) for a in axes] == [161, 161, 161]
+    # n * n * 1 <= MAX_GRID_CELLS < n * n * 2
+    n = math.isqrt(MAX_GRID_CELLS)
+    side = (-3.0, 1.0, n)
+    assert [len(a) for a in grid_axes(side, side, (0.0, 1.0, 1))] == [n, n, 1]
+    with pytest.raises(ValueError, match="MAX_GRID_CELLS"):
+        grid_axes(side, side, (0.0, 1.0, 2))
 
 
 def test_region_scan_structure():

@@ -19,8 +19,6 @@ import math
 import sys
 from itertools import product
 
-import numpy as np
-
 from .criticality import Q_MAX_DEFAULT, REFINE_TOL_DEFAULT, order_parameter
 from .entropy import bell_log_pairs, conditional_entropy_bell, entropy_kernel, tsallis_entropy
 from .errors import NumericalError, UnphysicalStateError

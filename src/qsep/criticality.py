@@ -21,10 +21,19 @@ reports no inflexion. The second derivative is the exact one of
 is negative unless every L_k = ln(2 w_k) vanishes (two weights of 1/2, where
 S'' = 0 throughout). So S'' falls strictly in q and changes sign at most
 once, from + to -. The search binary-searches a log-spaced grid of
-SEARCH_POINTS points for the first one where S'' < 0 and bisects the interval
-ending there to ``refine_tol``, provided S'' is finite at both ends and
-changes sign across it. States with S'' = 0 throughout, a root below Q_FLOOR,
-or S'' overflowing at the end of the interval report no inflexion.
+SEARCH_POINTS points for the first one where S'' < 0. Provided S'' is finite
+at both ends of the interval ending there and changes sign across it, the
+root inside is found by Newton steps q <- q - S''/S''', starting from the
+root of the secant across the interval. The sign of S'' at each iterate
+moves one end of the bracket in. A step that would leave the bracket, or a
+S''' that is not finite and negative, gives way to the bracket's midpoint.
+The iteration stops once a step moves q by at most 2 ulp, or once the
+midpoint rounds onto an end. Every iterate lies strictly inside the bracket
+it shrinks, so the search ends on every input, with q_I at the precision of
+the computed S''. That is far inside ``refine_tol``, which is still
+validated and remains the error bound the search promises. States with
+S'' = 0 throughout, a root below Q_FLOOR, or S'' overflowing at the end of
+the interval report no inflexion.
 """
 
 from __future__ import annotations
@@ -38,13 +47,14 @@ import numpy as np
 from .entropy import bell_log_pairs, entropy_kernel
 from .states import BellDiagonalState, bell_weights, is_physical
 from .errors import UnphysicalStateError
-from .separability import AxisSpec, bisect, check_tolerance, grid_cells
+from .separability import AxisSpec, check_tolerance, grid_cells
 
 Q_FLOOR = 1e-3
 Q_MAX_DEFAULT = 200.0
 REFINE_TOL_DEFAULT = 1e-8
 SEARCH_POINTS = 240
 _VERTEX_TOL = 1e-12
+_DEFAULT_SEARCH_GRID = np.geomspace(Q_FLOOR, Q_MAX_DEFAULT, SEARCH_POINTS).tolist()
 
 
 @dataclass(frozen=True)
@@ -77,9 +87,40 @@ def _checked_weights(s: BellDiagonalState, q_max: float,
     return bell_weights(s)
 
 
-def _search(weights, q_max: float, refine_tol: float) -> CriticalityReport:
+def _newton(pairs, lo: float, hi: float, a: float, b: float) -> float:
+    # Root of S'' inside (lo, hi), where S''(lo) = a > 0 > b = S''(hi). The
+    # first iterate is the secant's root; every iterate lies strictly inside
+    # the bracket and moves one of its ends, so the loop ends.
+    q = lo + (hi - lo) * (a / (a - b))
+    if not lo < q < hi:
+        q = 0.5 * (lo + hi)
+    while True:
+        d2 = entropy_kernel(pairs, q, 2)
+        if d2 > 0.0:
+            lo = q
+        elif d2 < 0.0:
+            hi = q
+        else:
+            return q
+        d3 = entropy_kernel(pairs, q, 3)
+        if math.isfinite(d3) and d3 < 0.0:
+            step = d2 / d3
+            if abs(step) <= 2.0 * math.ulp(q):
+                return q - step
+            if lo < q - step < hi:
+                q -= step
+                continue
+        q = 0.5 * (lo + hi)
+        if q == lo or q == hi:
+            return q
+
+
+def _search(weights, q_max: float) -> CriticalityReport:
     pairs = bell_log_pairs(weights)
-    grid = np.geomspace(Q_FLOOR, q_max, SEARCH_POINTS).tolist()
+    if q_max == Q_MAX_DEFAULT:
+        grid = _DEFAULT_SEARCH_GRID
+    else:
+        grid = np.geomspace(Q_FLOOR, q_max, SEARCH_POINTS).tolist()
 
     def concave(q: float) -> bool:
         return entropy_kernel(pairs, q, 2) < 0.0
@@ -91,7 +132,7 @@ def _search(weights, q_max: float, refine_tol: float) -> CriticalityReport:
         lo, hi = grid[k - 1], grid[k]
         a, b = entropy_kernel(pairs, lo, 2), entropy_kernel(pairs, hi, 2)
         if math.isfinite(a) and math.isfinite(b) and a * b < 0.0:
-            q_inflexion = bisect(concave, lo, hi, refine_tol)
+            q_inflexion = _newton(pairs, lo, hi, a, b)
             return CriticalityReport(
                 q_inflexion=q_inflexion,
                 eta=1.0 / (1.0 + q_inflexion),
@@ -108,12 +149,13 @@ def inflexion_point(s: BellDiagonalState, q_max: float = Q_MAX_DEFAULT,
 
     Returns None when no sign change is found; states whose inflexion sits
     beyond q_max are indistinguishable from that case by construction.
-    q_max must be finite and above Q_FLOOR, refine_tol finite and positive.
+    q_max must be finite and above Q_FLOOR, refine_tol finite and positive;
+    the result lies within refine_tol of the root of the exact S''.
     """
     weights = _checked_weights(s, q_max, refine_tol)
     if max(weights) >= 1.0 - _VERTEX_TOL:
         return None
-    return _search(weights, q_max, refine_tol).q_inflexion
+    return _search(weights, q_max).q_inflexion
 
 
 def order_parameter(s: BellDiagonalState, q_max: float = Q_MAX_DEFAULT,
@@ -126,7 +168,7 @@ def order_parameter(s: BellDiagonalState, q_max: float = Q_MAX_DEFAULT,
     weights = _checked_weights(s, q_max, refine_tol)
     if max(weights) >= 1.0 - _VERTEX_TOL:
         return CriticalityReport(None, 1.0, None, None, (), vertex=True)
-    return _search(weights, q_max, refine_tol)
+    return _search(weights, q_max)
 
 
 def eta_field(x_spec: AxisSpec, y_spec: AxisSpec, z_spec: AxisSpec,

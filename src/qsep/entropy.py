@@ -16,8 +16,8 @@ there, with the closed form
 
     S_q(B|A) = (2 - sum_k (2 w_k)^q) / (2 (q - 1)).
 
-Every entropy of this module, and its second q-derivative, is evaluated by
-one kernel over pairs (p_k, L_k) on the support. With u = q - 1,
+Every entropy of this module, and its second and third q-derivatives, is
+evaluated by one kernel over pairs (p_k, L_k) on the support. With u = q - 1,
 
     S^(n)(q) = -sum_k p_k L_k^(n+1) phi_n(u L_k),  phi_n(x) = int_0^1 s^n e^(sx) ds,
 
@@ -25,7 +25,12 @@ where L_k = ln p_k for the Tsallis entropy and L_k = ln(2 w_k) for the
 conditional entropy of Bell weights w_k. The form is exact through q = 1,
 where phi_n(0) = 1/(n + 1), needs no finite differences, and stays finite
 where the power sums would overflow or underflow: since phi_n > 0, a
-divergent term saturates to an infinity of its own sign.
+divergent term saturates to an infinity of its own sign. Near x = 0, where
+the closed forms of phi_2 and phi_3,
+
+    phi_3(x) = e^x (1/x - 3/x^2 + 6/x^3 - 6/x^4) + 6/x^4,
+
+cancel, they are summed as Taylor series.
 """
 
 from __future__ import annotations
@@ -44,6 +49,9 @@ _EXP_MAX = math.log(sys.float_info.max)
 # Taylor coefficients 1 / (n! (n + 3)) of phi_2, highest order first; through
 # x^15 they reach double precision for |x| < 1/2.
 _PHI2_SERIES = tuple(1.0 / (math.factorial(n) * (n + 3)) for n in range(15, -1, -1))
+# The same for phi_3, 1 / (n! (n + 4)): its closed form cancels further out,
+# so the series covers |x| < 1 and runs through x^20.
+_PHI3_SERIES = tuple(1.0 / (math.factorial(n) * (n + 4)) for n in range(20, -1, -1))
 
 
 def _phi0(x: float) -> float:
@@ -67,6 +75,20 @@ def _phi2(x: float) -> float:
     return math.exp(x) * inv * (1.0 - 2.0 * inv + 2.0 * inv * inv) - 2.0 * inv * inv * inv
 
 
+def _phi3(x: float) -> float:
+    if -1.0 < x < 1.0:
+        # the closed form below cancels here
+        total = 0.0
+        for c in _PHI3_SERIES:
+            total = total * x + c
+        return total
+    if x > _EXP_MAX:
+        return math.inf
+    inv = 1.0 / x
+    inv2 = inv * inv
+    return math.exp(x) * inv * (1.0 - 3.0 * inv + 6.0 * inv2 - 6.0 * inv2 * inv) + 6.0 * inv2 * inv2
+
+
 def bell_log_pairs(weights: Sequence[float]) -> tuple[tuple[float, float], ...]:
     """Kernel input (w_k, ln(2 w_k)) over the support of a Bell-weight tuple.
 
@@ -77,13 +99,16 @@ def bell_log_pairs(weights: Sequence[float]) -> tuple[tuple[float, float], ...]:
 
 
 def entropy_kernel(pairs: Sequence[tuple[float, float]], q: float, n: int = 0) -> float:
-    """S^(n)(q) = -sum_k p_k L_k^(n+1) phi_n((q - 1) L_k), for n in {0, 2}.
+    """S^(n)(q) = -sum_k p_k L_k^(n+1) phi_n((q - 1) L_k), for n in {0, 2, 3}.
 
-    With pairs (p, ln p) this is the Tsallis entropy and its second
-    q-derivative; with ``bell_log_pairs`` it is the conditional entropy
-    S_q(B|A) of a Bell-diagonal state. A divergent result is an infinity
-    (-inf for q > 1, +inf for q < 1); nothing raises. The terms are summed
-    with math.fsum, so the result does not depend on the order of the pairs.
+    With pairs (p, ln p) this is the Tsallis entropy and its second and
+    third q-derivatives; with ``bell_log_pairs`` it is the conditional
+    entropy S_q(B|A) of a Bell-diagonal state. Since
+    phi_3(x) = int_0^1 s^3 e^(sx) ds is positive, the third derivative is
+    never positive. A divergent result is an infinity (for n = 0 and 2,
+    -inf for q > 1 and +inf for q < 1; for n = 3, -inf); nothing raises.
+    The terms are summed with math.fsum, so the result does not depend on
+    the order of the pairs.
     """
     u = q - 1.0
     # 0.0 - sum rather than -sum: a zero entropy is +0.0, never -0.0
@@ -91,7 +116,9 @@ def entropy_kernel(pairs: Sequence[tuple[float, float]], q: float, n: int = 0) -
         return 0.0 - math.fsum([p * L * _phi0(u * L) for p, L in pairs])
     if n == 2:
         return 0.0 - math.fsum([p * L * L * L * _phi2(u * L) for p, L in pairs])
-    raise ValueError(f"derivative order must be 0 or 2, got {n!r}")
+    if n == 3:
+        return 0.0 - math.fsum([p * (L * L) * (L * L) * _phi3(u * L) for p, L in pairs])
+    raise ValueError(f"derivative order must be 0, 2 or 3, got {n!r}")
 
 
 def tsallis_entropy(s: Spectrum, q: float) -> float:

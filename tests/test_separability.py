@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -286,6 +286,20 @@ def test_threshold_edge_at_q_two():
 def test_threshold_diagonal_approaches_one_third():
     value = threshold_x(500.0, "diag")
     assert 1.0 / 3.0 < value < 1.0 / 3.0 + 2e-3
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.floats(20.0, 200.0))
+@example(20.0)
+@example(50.0)
+@example(200.0)
+def test_threshold_diagonal_follows_its_large_q_form(q):
+    # On the Werner line the weights are (1 + 3x)/4 and three of (1 - x)/4,
+    # so sum (2 w)^q = 2 reads ((1 + 3x)/2)^q = 2 - 3 ((1 - x)/2)^q. Near
+    # x = 1/3 the last term is about 3^(1-q). It moves x_c below
+    # (2^(1+1/q) - 1)/3 by 7.3e-12 at q = 20; from q = 30 on the gap is
+    # below the search's tol of 1e-12.
+    assert threshold_x(q, "diag") == pytest.approx((2.0 ** (1.0 + 1.0 / q) - 1.0) / 3.0, abs=1e-11)
 
 
 def test_threshold_decreases_with_q():

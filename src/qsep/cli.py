@@ -6,22 +6,26 @@ process, so the ``--jobs`` flag they accept changes no byte. Scalar commands
 emit a JSON record tagged with the format version, or with ``--format csv``
 one CSV row (not ``qinflex``, whose bracket fields are lists); grid and
 figure commands emit plain CSV (comma separated, single header row, LF line
-endings).
+endings). Grid rows are written one x plane at a time as they are computed.
 
-Exit codes: 0 success, 2 usage error, 3 domain error (unphysical state or
-invalid weights), 4 numerical failure (no bracket, eigensolver breakdown).
+Exit codes: 0 success, 1 output I/O error, 2 usage error, 3 domain error
+(unphysical state or invalid weights), 4 numerical failure (no bracket,
+eigensolver breakdown). ``--out`` is written only on success.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
-from itertools import product
+from collections.abc import Iterable
+from itertools import islice, product
 
 from .criticality import Q_MAX_DEFAULT, REFINE_TOL_DEFAULT, order_parameter
 from .entropy import bell_log_pairs, conditional_entropy_bell, entropy_kernel, tsallis_entropy
-from .errors import NumericalError, UnphysicalStateError
+from .errors import NumericalError
 from .linalg import EPS_SUPPORT, Spectrum
 from .separability import (
     BOUNDARY_TOL_ANALYTIC,
@@ -30,9 +34,10 @@ from .separability import (
     check_boundary_tol,
     classify_state,
     grid_axes,
+    physical_cells,
     threshold_x,
 )
-from .states import BellDiagonalState, bell_weights, is_physical
+from .states import BellDiagonalState, bell_weights, physical_weights
 
 FORMAT_VERSION = "qsep/1"
 
@@ -119,24 +124,36 @@ def _csv_field(v) -> str:
     raise TypeError(f"cannot render {type(v)!r} as CSV")
 
 
-def _csv_document(header, rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_csv_field(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv_document(header, rows) -> Iterable[str]:
+    """CSV chunks: the header line, then every row."""
+    yield ",".join(header) + "\n"
+    yield "".join(",".join(map(_csv_field, row)) + "\n" for row in rows)
 
 
-def _scalar_document(args, command: dict, payload: dict) -> str:
+def _scalar_document(args, command: dict, payload: dict) -> Iterable[str]:
     if getattr(args, "format", "json") == "csv":
         return _csv_document(list(payload), [tuple(payload.values())])
-    return _json_document(command, payload)
+    return (_json_document(command, payload),)
 
 
-def _write(text: str, out: str | None) -> None:
+def _write(chunks: Iterable[str], out: str | None) -> None:
+    """Write the chunks as they come, to stdout, or to a temporary file that
+    replaces ``out`` once all are written and is removed on any failure."""
     if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        sys.stdout.writelines(chunks)
+        return
+    head, tail = os.path.split(out)
+    temp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
+        os.replace(temp, out)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(temp)
+        if isinstance(exc, OSError):  # name the target, not the temporary file
+            raise OSError(exc.errno, exc.strerror, out) from None
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -194,17 +211,14 @@ def _range_type(text: str) -> tuple[float, float, int]:
 # scalar commands
 
 
-def _cmd_entropy(args) -> str:
+def _cmd_entropy(args) -> Iterable[str]:
     q = args.q
     if args.weights is not None:
         joint = Spectrum.from_values(args.weights, stochastic=True)
         source = {"weights": list(args.weights)}
     else:
         s = BellDiagonalState(*args.xyz)
-        check = is_physical(s)
-        if not check:
-            raise UnphysicalStateError("; ".join(check.violations))
-        joint = Spectrum.from_values(bell_weights(s), stochastic=True)
+        joint = Spectrum.from_values(physical_weights(s), stochastic=True)
         source = {"xyz": list(args.xyz)}
     reduced = Spectrum.uniform(2)
     command = {"name": "entropy", **source, "q": q}
@@ -216,7 +230,7 @@ def _cmd_entropy(args) -> str:
     return _scalar_document(args, command, payload)
 
 
-def _cmd_cond(args) -> str:
+def _cmd_cond(args) -> Iterable[str]:
     s = BellDiagonalState(*args.xyz)
     result = conditional_entropy_bell(s, args.q)
     command = {"name": "cond", "xyz": list(args.xyz), "q": args.q}
@@ -228,7 +242,7 @@ def _cmd_cond(args) -> str:
     return _scalar_document(args, command, payload)
 
 
-def _cmd_classify(args) -> str:
+def _cmd_classify(args) -> Iterable[str]:
     s = BellDiagonalState(*args.xyz)
     default_tol = BOUNDARY_TOL_SCAN if args.method == "ar-scan" else BOUNDARY_TOL_ANALYTIC
     tol = default_tol if args.boundary_tol is None else args.boundary_tol
@@ -248,7 +262,7 @@ def _cmd_classify(args) -> str:
     return _scalar_document(args, command, payload)
 
 
-def _cmd_threshold(args) -> str:
+def _cmd_threshold(args) -> Iterable[str]:
     direction = args.direction
     value = threshold_x(args.q, direction, args.tol)
     echo = direction if isinstance(direction, str) else list(direction)
@@ -257,7 +271,7 @@ def _cmd_threshold(args) -> str:
     return _scalar_document(args, command, payload)
 
 
-def _cmd_qinflex(args) -> str:
+def _cmd_qinflex(args) -> Iterable[str]:
     s = BellDiagonalState(*args.xyz)
     report = order_parameter(s, q_max=args.q_max, refine_tol=args.refine_tol)
     command = {
@@ -281,29 +295,32 @@ def _cmd_qinflex(args) -> str:
 # grid commands and figure emission
 
 
-def _grid_document(header: list[str], specs, evaluate) -> str:
-    """CSV of every grid cell, x-major, under ``header``: x, y, z, physical,
-    then the fields ``evaluate`` returns for a physical cell, left empty for
-    the others.
+def _grid_document(header: list[str], axes, evaluate) -> Iterable[str]:
+    """CSV chunks of every cell of the grid ``axes`` (``grid_axes`` output),
+    x-major: the header line, then one chunk per x plane. A row holds x, y,
+    z, physical, then the fields ``evaluate`` returns for a physical cell,
+    left empty for the others.
 
     Each axis point is formatted once, by position: a cache keyed on the
     float would print -0.0 wherever 0.0 came first, as 0.0 == -0.0.
     """
-    axes = grid_axes(*specs)
-    labelled = [list(zip(axis, map(_csv_field, axis))) for axis in axes]
-    unphysical = ",0" + "," * (len(header) - 4)
-    lines = [",".join(header)]
-    for (x, fx), (y, fy), (z, fz) in product(*labelled):
-        s = BellDiagonalState(x, y, z)
-        if is_physical(s):
-            fields = ",".join(map(_csv_field, evaluate(s)))
-            lines.append(f"{fx},{fy},{fz},1,{fields}")
-        else:
-            lines.append(f"{fx},{fy},{fz}{unphysical}")
-    return "\n".join(lines) + "\n"
+    labels = product(*[list(map(_csv_field, axis)) for axis in axes])
+    cells = zip(labels, physical_cells(axes))
+    plane_size = len(axes[1]) * len(axes[2])
+    unphysical = ",0" + "," * (len(header) - 4) + "\n"
+    yield ",".join(header) + "\n"
+    for _ in axes[0]:
+        plane = []
+        for (fx, fy, fz), (_, _, _, s) in islice(cells, plane_size):
+            if s is None:
+                plane.append(f"{fx},{fy},{fz}{unphysical}")
+            else:
+                fields = ",".join(map(_csv_field, evaluate(s)))
+                plane.append(f"{fx},{fy},{fz},1,{fields}\n")
+        yield "".join(plane)
 
 
-def _cmd_scan(args) -> str:
+def _cmd_scan(args) -> Iterable[str]:
     default = (-3.0, 1.0, 21)
     shared = args.range if args.range is not None else default
     specs = [spec if spec is not None else shared
@@ -316,14 +333,10 @@ def _cmd_scan(args) -> str:
         return c.verdict, c.criterion, c.witness, c.witness_q
 
     header = ["x", "y", "z", "physical", "verdict", "criterion", "witness", "witness_q"]
-    return _grid_document(header, specs, classify)
+    return _grid_document(header, grid_axes(*specs), classify)
 
 
-def _rank_deficient(s: BellDiagonalState) -> bool:
-    return min(bell_weights(s)) <= EPS_SUPPORT
-
-
-def _figure_fig1a() -> str:
+def _figure_fig1a() -> Iterable[str]:
     rows = []
     for label, family in _FIG1_DIRECTIONS:
         for q in _FIG1_Q_SET:
@@ -334,7 +347,7 @@ def _figure_fig1a() -> str:
     return _csv_document(["direction", "x", "q", "S_q_cond"], rows)
 
 
-def _figure_fig1b() -> str:
+def _figure_fig1b() -> Iterable[str]:
     # the edge from the phi+ vertex (-3, 1, 1) to the psi- vertex (1, 1, 1)
     rows = []
     for q in _FIG1_Q_SET:
@@ -345,7 +358,7 @@ def _figure_fig1b() -> str:
     return _csv_document(["x", "q", "S_q_cond"], rows)
 
 
-def _figure_fig2() -> str:
+def _figure_fig2() -> Iterable[str]:
     curves = [
         (f"{name}_{value:g}", family(value))
         for name, family in _FIG2_FAMILIES
@@ -354,8 +367,9 @@ def _figure_fig2() -> str:
     curves.append(("xxx_0", BellDiagonalState(0.0, 0.0, 0.0)))
     rows = []
     for label, s in curves:
-        pairs = bell_log_pairs(bell_weights(s))
-        skip_zero = _rank_deficient(s)
+        weights = bell_weights(s)
+        pairs = bell_log_pairs(weights)
+        skip_zero = min(weights) <= EPS_SUPPORT  # rank deficient: 0^q is ambiguous at q = 0
         for k in range(1301):
             q = (k - 300) / 100.0
             if skip_zero and abs(q) <= 1e-6:
@@ -364,15 +378,15 @@ def _figure_fig2() -> str:
     return _csv_document(["label", "q", "S_q_cond"], rows)
 
 
-def _figure_fig3() -> str:
+def _figure_fig3() -> Iterable[str]:
     spec = (-3.0, 1.0, 41)
     return _grid_document(
-        ["x", "y", "z", "physical", "verdict", "eta"], (spec, spec, spec),
+        ["x", "y", "z", "physical", "verdict", "eta"], grid_axes(spec, spec, spec),
         lambda s: (ar_classify_asymptotic(s).verdict, order_parameter(s).eta),
     )
 
 
-def _cmd_figure(args) -> str:
+def _cmd_figure(args) -> Iterable[str]:
     if args.which == "fig1a":
         return _figure_fig1a()
     if args.which == "fig1b":
@@ -492,12 +506,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        text = args.func(args)
-        _write(text, args.out)
-    except UnphysicalStateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+        _write(args.func(args), args.out)
+    except ValueError as exc:  # UnphysicalStateError among them
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:

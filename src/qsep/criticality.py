@@ -45,9 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import bell_log_pairs, entropy_kernel
-from .states import BellDiagonalState, bell_weights, is_physical
-from .errors import UnphysicalStateError
-from .separability import AxisSpec, check_tolerance, grid_cells
+from .states import BellDiagonalState, physical_weights
+from .separability import AxisSpec, check_tolerance, grid_axes, physical_cells
 
 Q_FLOOR = 1e-3
 Q_MAX_DEFAULT = 200.0
@@ -74,17 +73,6 @@ class CriticalityReport:
     d2_at_bracket: tuple[float, float] | None
     extra_brackets: tuple[tuple[float, float], ...]
     vertex: bool = False
-
-
-def _checked_weights(s: BellDiagonalState, q_max: float,
-                     refine_tol: float) -> tuple[float, float, float, float]:
-    if not (math.isfinite(q_max) and q_max > Q_FLOOR):
-        raise ValueError(f"q_max must be finite and above {Q_FLOOR}, got {q_max!r}")
-    check_tolerance(refine_tol, "refine_tol")
-    check = is_physical(s)
-    if not check:
-        raise UnphysicalStateError("; ".join(check.violations))
-    return bell_weights(s)
 
 
 def _newton(pairs, lo: float, hi: float, a: float, b: float) -> float:
@@ -122,15 +110,19 @@ def _search(weights, q_max: float) -> CriticalityReport:
     else:
         grid = np.geomspace(Q_FLOOR, q_max, SEARCH_POINTS).tolist()
 
+    d2 = {}
+
     def concave(q: float) -> bool:
-        return entropy_kernel(pairs, q, 2) < 0.0
+        d2[q] = entropy_kernel(pairs, q, 2)
+        return d2[q] < 0.0
 
     # S'' falls in q, so the grid holds at most one sign change, and it sits
-    # just before the first concave point.
+    # just before the first concave point. For 0 < k < len(grid) the binary
+    # search has evaluated S'' at both grid[k - 1] and grid[k].
     k = bisect_left(grid, True, key=concave)
     if 0 < k < len(grid):
         lo, hi = grid[k - 1], grid[k]
-        a, b = entropy_kernel(pairs, lo, 2), entropy_kernel(pairs, hi, 2)
+        a, b = d2[lo], d2[hi]
         if math.isfinite(a) and math.isfinite(b) and a * b < 0.0:
             q_inflexion = _newton(pairs, lo, hi, a, b)
             return CriticalityReport(
@@ -152,10 +144,7 @@ def inflexion_point(s: BellDiagonalState, q_max: float = Q_MAX_DEFAULT,
     q_max must be finite and above Q_FLOOR, refine_tol finite and positive;
     the result lies within refine_tol of the root of the exact S''.
     """
-    weights = _checked_weights(s, q_max, refine_tol)
-    if max(weights) >= 1.0 - _VERTEX_TOL:
-        return None
-    return _search(weights, q_max).q_inflexion
+    return order_parameter(s, q_max, refine_tol).q_inflexion
 
 
 def order_parameter(s: BellDiagonalState, q_max: float = Q_MAX_DEFAULT,
@@ -165,7 +154,10 @@ def order_parameter(s: BellDiagonalState, q_max: float = Q_MAX_DEFAULT,
     The four Bell vertices short-circuit to eta = 1 (the limit value along
     any ray into the vertex), reported with ``vertex=True``.
     """
-    weights = _checked_weights(s, q_max, refine_tol)
+    if not (math.isfinite(q_max) and q_max > Q_FLOOR):
+        raise ValueError(f"q_max must be finite and above {Q_FLOOR}, got {q_max!r}")
+    check_tolerance(refine_tol, "refine_tol")
+    weights = physical_weights(s)
     if max(weights) >= 1.0 - _VERTEX_TOL:
         return CriticalityReport(None, 1.0, None, None, (), vertex=True)
     return _search(weights, q_max)
@@ -174,9 +166,6 @@ def order_parameter(s: BellDiagonalState, q_max: float = Q_MAX_DEFAULT,
 def eta_field(x_spec: AxisSpec, y_spec: AxisSpec, z_spec: AxisSpec,
               q_max: float = Q_MAX_DEFAULT) -> tuple[tuple[float, float, float, float], ...]:
     """Order parameter over the physical cells of a grid, x-major order."""
-    rows = []
-    for x, y, z in grid_cells(x_spec, y_spec, z_spec):
-        s = BellDiagonalState(x, y, z)
-        if is_physical(s):
-            rows.append((x, y, z, order_parameter(s, q_max=q_max).eta))
-    return tuple(rows)
+    return tuple((x, y, z, order_parameter(s, q_max=q_max).eta)
+                 for x, y, z, s in physical_cells(grid_axes(x_spec, y_spec, z_spec))
+                 if s is not None)

@@ -40,9 +40,8 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import UnphysicalStateError
 from .linalg import EPS_SUPPORT, Spectrum, trace_power
-from .states import BellDiagonalState, bell_weights, is_physical
+from .states import BellDiagonalState, physical_weights
 
 # Above this argument e^x overflows; phi_n saturates to +inf there.
 _EXP_MAX = math.log(sys.float_info.max)
@@ -172,10 +171,7 @@ def conditional_entropy_bell(s: BellDiagonalState, q: float) -> ConditionalEntro
     """Closed-form conditional entropy of a physical Bell-diagonal state."""
     if not math.isfinite(q):
         raise ValueError("q must be finite")
-    check = is_physical(s)
-    if not check:
-        raise UnphysicalStateError("; ".join(check.violations))
-    return ConditionalEntropyValue(value=entropy_kernel(bell_log_pairs(bell_weights(s)), q), q=q)
+    return ConditionalEntropyValue(value=entropy_kernel(bell_log_pairs(physical_weights(s)), q), q=q)
 
 
 def chain_rule_check(a: Spectrum, b_given_a: float, q: float) -> float:

@@ -19,7 +19,9 @@ Three routes, deliberately independent of each other:
 nonnegative conditional entropy at fixed q, and ``region_scan`` sweeps a
 Cartesian grid with a chosen classifier. ``bisect`` is the one bisection
 the package uses; ``grid_axes`` makes the points of every grid, capped at
-MAX_GRID_CELLS cells, and its x-major product is the one grid enumeration.
+MAX_GRID_CELLS cells, and ``physical_cells`` is the one grid enumeration:
+it walks their x-major product and hands each physical cell's state to the
+caller, which evaluates it.
 """
 
 from __future__ import annotations
@@ -31,15 +33,16 @@ from itertools import product
 
 import numpy as np
 
-from .errors import BracketError, UnphysicalStateError
+from .errors import BracketError
 from .entropy import bell_log_pairs, entropy_kernel, rescaled_power_sum
 from .linalg import hermitian_eigenvalues, partial_transpose
 from .states import (
+    WEIGHT_TOL,
     BellDiagonalState,
     TwoQubitState,
     bell_diagonal_density,
     bell_weights,
-    is_physical,
+    physical_weights,
 )
 
 BOUNDARY_TOL_ANALYTIC = 1e-9
@@ -147,20 +150,14 @@ def ar_residual(s: BellDiagonalState, q: float) -> float:
     """sum_k (2 w_k)^q - 2: positive exactly when S_q(B|A) < 0, for q > 1."""
     if not q > 1.0:
         raise ValueError(f"residual is defined for q > 1, got q = {q!r}")
-    check = is_physical(s)
-    if not check:
-        raise UnphysicalStateError("; ".join(check.violations))
-    return rescaled_power_sum(bell_weights(s), q) - 2.0
+    return rescaled_power_sum(physical_weights(s), q) - 2.0
 
 
 def ar_classify_asymptotic(s: BellDiagonalState,
                            boundary_tol: float = BOUNDARY_TOL_ANALYTIC) -> Classification:
     """Large-q limit of the entropic criterion: max Bell weight versus 1/2."""
     check_boundary_tol(boundary_tol)
-    check = is_physical(s)
-    if not check:
-        raise UnphysicalStateError("; ".join(check.violations))
-    witness = max(bell_weights(s)) - 0.5
+    witness = max(physical_weights(s)) - 0.5
     return _banded_verdict(witness, "ar-asymptotic", boundary_tol)
 
 
@@ -192,9 +189,7 @@ def ar_classify_scan(s: BellDiagonalState,
     scan sees nothing, its verdict wins (reported under its own criterion).
     """
     check_boundary_tol(boundary_tol)
-    check = is_physical(s)
-    if not check:
-        raise UnphysicalStateError("; ".join(check.violations))
+    weights = physical_weights(s)
     if q_grid is None:
         grid = _DEFAULT_Q_GRID
     else:
@@ -203,7 +198,7 @@ def ar_classify_scan(s: BellDiagonalState,
             raise ValueError("q_grid must contain at least one sample")
         if not all(math.isfinite(q) for q in grid):
             raise ValueError("q_grid samples must be finite")
-    pairs = bell_log_pairs(bell_weights(s))
+    pairs = bell_log_pairs(weights)
     min_value = entropy_kernel(pairs, grid[-1])
     if min_value == math.inf:
         # every sample diverges (only possible below q = 1): none is a minimum
@@ -311,13 +306,16 @@ def grid_axes(x_spec: AxisSpec, y_spec: AxisSpec,
     return grid_points(x_spec, "x"), grid_points(y_spec, "y"), grid_points(z_spec, "z")
 
 
-def grid_cells(x_spec: AxisSpec, y_spec: AxisSpec,
-               z_spec: AxisSpec) -> list[tuple[float, float, float]]:
-    """(x, y, z) cells of a Cartesian grid, x-major: x outermost, z fastest.
+def physical_cells(axes):
+    """Yield (x, y, z, state) for each cell of the product of ``grid_axes``
+    output, x-major: x outermost, z fastest.
 
-    This is ``itertools.product`` over ``grid_axes``, whose cap it shares.
+    state is the cell's BellDiagonalState when no weight lies below
+    -WEIGHT_TOL, the test ``physical_weights`` makes, and None otherwise.
     """
-    return list(product(*grid_axes(x_spec, y_spec, z_spec)))
+    for x, y, z in product(*axes):
+        s = BellDiagonalState(x, y, z)
+        yield x, y, z, (None if min(bell_weights(s)) < -WEIGHT_TOL else s)
 
 
 def classify_state(s: BellDiagonalState, method: str,
@@ -347,11 +345,9 @@ def region_scan(x_spec: AxisSpec, y_spec: AxisSpec, z_spec: AxisSpec,
     if boundary_tol is not None:
         check_boundary_tol(boundary_tol)
     xs, ys, zs = axes = grid_axes(x_spec, y_spec, z_spec)
-    cells = []
-    for x, y, z in product(*axes):
-        s = BellDiagonalState(x, y, z)
-        if is_physical(s):
-            cells.append(GridCell(x, y, z, True, classify_state(s, method, boundary_tol)))
-        else:
-            cells.append(GridCell(x, y, z, False, None))
-    return RegionGrid(xs=xs, ys=ys, zs=zs, cells=tuple(cells))
+    cells = tuple(
+        GridCell(x, y, z, False, None) if s is None
+        else GridCell(x, y, z, True, classify_state(s, method, boundary_tol))
+        for x, y, z, s in physical_cells(axes)
+    )
+    return RegionGrid(xs=xs, ys=ys, zs=zs, cells=cells)

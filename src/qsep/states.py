@@ -8,7 +8,8 @@ Conventions, fixed once for the whole package:
   weights ((1-x)/4, (1-y)/4, (1-z)/4, (1+x+y+z)/4) on them, in that order.
 
 Physical states fill the tetrahedron x, y, z <= 1 with x + y + z >= -1,
-whose vertices map to the four Bell projectors.
+whose vertices map to the four Bell projectors. ``physical_weights`` is the
+one physicality check of every public entry point that takes a state.
 """
 
 from __future__ import annotations
@@ -85,6 +86,15 @@ def is_physical(s: BellDiagonalState) -> PhysicalityCheck:
     return PhysicalityCheck(ok=not violations, violations=violations)
 
 
+def physical_weights(s: BellDiagonalState) -> tuple[float, float, float, float]:
+    """bell_weights(s), or UnphysicalStateError naming each weight below
+    -WEIGHT_TOL (the message ``is_physical`` builds; it is called only then)."""
+    weights = bell_weights(s)
+    if min(weights) < -WEIGHT_TOL:
+        raise UnphysicalStateError("; ".join(is_physical(s).violations))
+    return weights
+
+
 def bell_projectors() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The four Bell projectors as 4x4 complex matrices, canonical order."""
     mats = []
@@ -132,10 +142,7 @@ class TwoQubitState:
 
 def bell_diagonal_density(s: BellDiagonalState) -> TwoQubitState:
     """Density matrix sum_k w_k P_k of a physical Bell-diagonal state."""
-    check = is_physical(s)
-    if not check:
-        raise UnphysicalStateError("; ".join(check.violations))
-    weights = bell_weights(s)
+    weights = physical_weights(s)
     m = np.zeros((4, 4), dtype=np.complex128)
     for w, proj in zip(weights, _BELL_PROJECTORS):
         m += w * proj

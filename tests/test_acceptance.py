@@ -247,7 +247,7 @@ def test_criterion_11_figure_family_sign_structure(capsys):
     from qsep.cli import _figure_fig2
 
     rows = []
-    for line in _figure_fig2().splitlines()[1:]:
+    for line in "".join(_figure_fig2()).splitlines()[1:]:
         label, q_text, value_text = line.split(",")
         rows.append((label, float(q_text), float(value_text)))
 

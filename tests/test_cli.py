@@ -25,7 +25,9 @@ except ModuleNotFoundError:  # Python 3.10: pytest itself depends on tomli
     import tomli as tomllib
 
 import qsep
-from qsep import region_scan, threshold_x
+import qsep.cli
+import qsep.separability
+from qsep import BellDiagonalState, NumericalError, is_physical, region_scan, threshold_x
 from qsep.cli import _csv_document, main
 from test_entropy import lowest_curve, uppermost_curve
 
@@ -86,6 +88,14 @@ def test_entropy_from_weights_and_from_parameters(capsys):
     payload = json.loads(out)["payload"]
     assert payload["S_q_joint"] == pytest.approx(math.log(4.0), abs=1e-15)
     assert payload["S_q_A"] == pytest.approx(math.log(2.0), abs=1e-15)
+
+
+@pytest.mark.parametrize("xyz", ["1,1,-3.5", "1.5,1.5,0"])
+def test_entropy_of_an_unphysical_state_names_its_weights(capsys, xyz):
+    code, out, err = run_cli(capsys, "entropy", f"--xyz={xyz}", "--q", "2")
+    s = BellDiagonalState(*map(float, xyz.split(",")))
+    assert (code, out) == (3, "")
+    assert err == "error: " + "; ".join(is_physical(s).violations) + "\n"
 
 
 def test_entropy_csv_format(capsys):
@@ -406,8 +416,60 @@ def test_scan_rows_are_the_region_scan_cells(capsys, method):
         fields = (None,) * 4 if c is None else (c.verdict, c.criterion, c.witness, c.witness_q)
         rows.append((cell.x, cell.y, cell.z, cell.physical, *fields))
     header = ["x", "y", "z", "physical", "verdict", "criterion", "witness", "witness_q"]
-    assert out == _csv_document(header, rows)
+    assert out == "".join(_csv_document(header, rows))
     assert "\n-1,-1,1,1," in out and "\n-1,-1,-1,0,,,,\n" in out
+
+
+def test_scan_above_the_cap_writes_nothing(tmp_path, capsys, monkeypatch):
+    def no_points(spec, name):
+        raise AssertionError("grid points made for an oversized grid")
+
+    monkeypatch.setattr(qsep.separability, "grid_points", no_points)
+    code, out, err = run_cli(capsys, "scan", "--range=-3:1:2000")
+    assert (code, out) == (3, "") and "MAX_GRID_CELLS" in err
+    target = tmp_path / "scan.csv"
+    target.write_bytes(b"kept\n")
+    assert run_cli(capsys, "scan", "--range=-3:1:2000", "--out", str(target))[0] == 3
+    assert target.read_bytes() == b"kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["scan.csv"]
+
+
+def fail_at_physical_cell(monkeypatch, n):
+    """Make the scan's n-th classify_state call raise NumericalError."""
+    classify = qsep.cli.classify_state
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == n:
+            raise NumericalError("injected failure")
+        return classify(*args)
+
+    monkeypatch.setattr(qsep.cli, "classify_state", failing)
+
+
+def test_scan_failing_partway_keeps_whole_planes_and_the_out_file(tmp_path, capsys, monkeypatch):
+    argv = ("scan", "--range=-1:1:5", "--method", "ppt")
+    code, full, _ = run_cli(capsys, *argv)
+    assert code == 0
+    lines = full.splitlines(keepends=True)
+    header, planes = lines[0], [lines[1 + 25 * k: 26 + 25 * k] for k in range(5)]
+    physical = [sum(row.split(",")[3] == "1" for row in plane) for plane in planes]
+    assert physical[2] >= 2
+    # the second physical cell of the third x plane fails
+    fail_at_physical_cell(monkeypatch, physical[0] + physical[1] + 2)
+
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (4, "error: injected failure\n")
+    assert out == header + "".join(planes[0] + planes[1])
+
+    target = tmp_path / "scan.csv"
+    target.write_bytes(b"kept\n")
+    fail_at_physical_cell(monkeypatch, physical[0] + physical[1] + 2)
+    code, out, _ = run_cli(capsys, *argv, "--out", str(target))
+    assert (code, out) == (4, "")
+    assert target.read_bytes() == b"kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["scan.csv"]
 
 
 def test_scan_keeps_the_sign_of_a_zero_coordinate(capsys):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qsep.criticality
@@ -269,6 +269,24 @@ def test_search_evaluates_few_second_derivatives(monkeypatch, t, most):
     assert set(orders) <= {2, 3}
     assert (3 in orders) == (report.q_inflexion is not None)
     assert 0 < len(orders) <= most
+
+
+@settings(derandomize=True, deadline=None)
+@given(tetrahedron_states())
+@example(werner(0.6))
+def test_search_evaluates_no_point_twice(s):
+    # the binary search has already evaluated S'' at both ends of the bracket
+    calls = []
+    kernel = qsep.criticality.entropy_kernel
+
+    def recording(pairs, q, n=0):
+        calls.append((q, n))
+        return kernel(pairs, q, n)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qsep.criticality, "entropy_kernel", recording)
+        order_parameter(s)
+    assert len(set(calls)) == len(calls)
 
 
 @settings(derandomize=True, deadline=None)

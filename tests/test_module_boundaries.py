@@ -1,0 +1,37 @@
+"""Structure checks over the package sources: no private helper crosses a
+module boundary, and only ``states`` calls ``is_physical``."""
+
+import ast
+from pathlib import Path
+
+import qsep
+
+SOURCES = sorted(Path(qsep.__file__).resolve().parent.glob("*.py"))
+
+
+def _trees():
+    for path in SOURCES:
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_no_private_name_is_imported_from_another_module():
+    found = [
+        f"{name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "qsep")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert len(SOURCES) > 5 and found == []
+
+
+def test_only_states_calls_is_physical():
+    callers = sorted(
+        name
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "is_physical"
+    )
+    assert callers == ["states.py"]

@@ -32,10 +32,10 @@ from qsep.separability import (
     MAX_GRID_CELLS,
     Classification,
     grid_axes,
-    grid_cells,
     grid_points,
+    physical_cells,
 )
-from qsep.states import bell_weights
+from qsep.states import WEIGHT_TOL, bell_weights, is_physical
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
 
@@ -360,7 +360,7 @@ def test_grids_above_the_cap_raise_before_any_point_is_made(monkeypatch):
 
     monkeypatch.setattr(qsep.separability, "grid_points", no_points)
     spec = (-3.0, 1.0, 2000)
-    for build in (grid_axes, grid_cells, region_scan, eta_field):
+    for build in (grid_axes, region_scan, eta_field):
         with pytest.raises(ValueError, match=f"MAX_GRID_CELLS = {MAX_GRID_CELLS}"):
             build(spec, spec, spec)
 
@@ -375,6 +375,42 @@ def test_grid_cap_holds_161_cubed_and_is_inclusive():
     assert [len(a) for a in grid_axes(side, side, (0.0, 1.0, 1))] == [n, n, 1]
     with pytest.raises(ValueError, match="MAX_GRID_CELLS"):
         grid_axes(side, side, (0.0, 1.0, 2))
+
+
+def _ulps(v: float, k: int) -> float:
+    """v moved by k ulp."""
+    for _ in range(abs(k)):
+        v = math.nextafter(v, math.inf if k > 0 else -math.inf)
+    return v
+
+
+# Coordinates a few ulp either side of where one weight crosses -WEIGHT_TOL:
+# x, y or z at 1 + 4 WEIGHT_TOL (phi+, phi-, psi+), x at -1 - 4 WEIGHT_TOL (psi-).
+_ABOVE_ONE = [_ulps(1.0 + 4.0 * WEIGHT_TOL, k) for k in range(-3, 4)]
+_BELOW_MINUS_ONE = [_ulps(-1.0 - 4.0 * WEIGHT_TOL, k) for k in range(-3, 4)]
+NEAR_WEIGHT_TOL = ([(t, 0.0, 0.0) for t in _ABOVE_ONE] + [(0.0, t, 0.0) for t in _ABOVE_ONE]
+                   + [(0.0, 0.0, t) for t in _ABOVE_ONE] + [(t, 0.0, 0.0) for t in _BELOW_MINUS_ONE])
+
+
+def _only_cell(x, y, z):
+    (cell,) = physical_cells(((x,), (y,), (z,)))
+    return cell
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.floats(-3.5, 1.5), st.floats(-3.5, 1.5), st.floats(-3.5, 1.5))
+def test_physical_cells_agree_with_is_physical(x, y, z):
+    s = BellDiagonalState(x, y, z)
+    assert _only_cell(x, y, z) == (x, y, z, s if is_physical(s) else None)
+
+
+def test_physical_cells_agree_with_is_physical_at_the_tolerance():
+    kept = set()
+    for xyz in NEAR_WEIGHT_TOL:
+        s = BellDiagonalState(*xyz)
+        assert _only_cell(*xyz) == (*xyz, s if is_physical(s) else None)
+        kept.add(bool(is_physical(s)))
+    assert kept == {True, False}
 
 
 def test_region_scan_structure():

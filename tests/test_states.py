@@ -10,11 +10,17 @@ from qsep import (
     BellDiagonalState,
     TwoQubitState,
     UnphysicalStateError,
+    ar_classify_asymptotic,
+    ar_classify_scan,
+    ar_residual,
     bell_diagonal_density,
     bell_projectors,
     bell_spectrum,
     bell_weights,
+    conditional_entropy_bell,
+    inflexion_point,
     is_physical,
+    order_parameter,
     werner,
 )
 
@@ -124,6 +130,32 @@ def test_two_qubit_state_validation():
 def test_bell_diagonal_density_rejects_unphysical():
     with pytest.raises(UnphysicalStateError, match="phi\\+"):
         bell_diagonal_density(BellDiagonalState(2.0, 0.0, 0.0))
+
+
+UNPHYSICAL_MESSAGES = {
+    (1.0, 1.0, -3.5): "weight[psi-] = -0.125 is negative",
+    (1.5, 1.5, 0.0): "weight[phi+] = -0.125 is negative; weight[phi-] = -0.125 is negative",
+}
+VALIDATING_ENTRY_POINTS = {
+    "conditional_entropy_bell": lambda s: conditional_entropy_bell(s, 2.0),
+    "ar_residual": lambda s: ar_residual(s, 2.0),
+    "ar_classify_asymptotic": ar_classify_asymptotic,
+    "ar_classify_scan": ar_classify_scan,
+    "order_parameter": order_parameter,
+    "inflexion_point": inflexion_point,
+    "bell_diagonal_density": bell_diagonal_density,
+}
+
+
+@pytest.mark.parametrize("xyz", UNPHYSICAL_MESSAGES)
+@pytest.mark.parametrize("entry", VALIDATING_ENTRY_POINTS)
+def test_every_entry_point_names_the_negative_weights(xyz, entry):
+    s = BellDiagonalState(*xyz)
+    message = "; ".join(is_physical(s).violations)
+    assert message == UNPHYSICAL_MESSAGES[xyz]
+    with pytest.raises(UnphysicalStateError) as info:
+        VALIDATING_ENTRY_POINTS[entry](s)
+    assert str(info.value) == message
 
 
 def test_state_parameters_coerced_and_finite():

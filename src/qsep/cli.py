@@ -19,9 +19,10 @@ import argparse
 import contextlib
 import math
 import os
+import stat
 import sys
 from collections.abc import Iterable
-from itertools import islice, product
+from itertools import islice
 
 from .criticality import Q_MAX_DEFAULT, REFINE_TOL_DEFAULT, order_parameter
 from .entropy import bell_log_pairs, conditional_entropy_bell, entropy_kernel, tsallis_entropy
@@ -47,10 +48,7 @@ _FIG1_DIRECTIONS = (
     ("xx0", lambda v: BellDiagonalState(v, v, 0.0)),
     ("xxx", lambda v: BellDiagonalState(v, v, v)),
 )
-_FIG2_FAMILIES = (
-    ("x00", lambda v: BellDiagonalState(v, 0.0, 0.0)),
-    ("xx0", lambda v: BellDiagonalState(v, v, 0.0)),
-    ("xxx", lambda v: BellDiagonalState(v, v, v)),
+_FIG2_FAMILIES = _FIG1_DIRECTIONS + (
     ("1x0", lambda v: BellDiagonalState(1.0, v, 0.0)),
     ("1xx", lambda v: BellDiagonalState(1.0, v, v)),
     ("11x", lambda v: BellDiagonalState(1.0, 1.0, v)),
@@ -137,17 +135,27 @@ def _scalar_document(args, command: dict, payload: dict) -> Iterable[str]:
 
 
 def _write(chunks: Iterable[str], out: str | None) -> None:
-    """Write the chunks as they come, to stdout, or to a temporary file that
-    replaces ``out`` once all are written and is removed on any failure."""
+    """Write the chunks as they come: to stdout; to ``out`` itself if it is
+    a device, FIFO or other special file; else to a temporary file beside the
+    path ``out`` resolves to, which takes the old file's mode, replaces it
+    once all chunks are written, and is removed on any failure."""
     if out is None:
         sys.stdout.writelines(chunks)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return
-    head, tail = os.path.split(out)
+    mode = os.stat(out).st_mode if os.path.exists(out) else None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
+        return
+    head, tail = os.path.split(os.path.realpath(out))
     temp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
         with open(temp, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
-        os.replace(temp, out)
+        if mode is not None:
+            os.chmod(temp, stat.S_IMODE(mode))
+        os.replace(temp, os.path.join(head, tail))
     except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(temp)
@@ -247,12 +255,8 @@ def _cmd_classify(args) -> Iterable[str]:
     default_tol = BOUNDARY_TOL_SCAN if args.method == "ar-scan" else BOUNDARY_TOL_ANALYTIC
     tol = default_tol if args.boundary_tol is None else args.boundary_tol
     result = classify_state(s, args.method, tol)
-    command = {
-        "name": "classify",
-        "xyz": list(args.xyz),
-        "method": args.method,
-        "boundary_tol": tol,
-    }
+    command = {"name": "classify", "xyz": list(args.xyz), "method": args.method,
+               "boundary_tol": tol}
     payload = {
         "verdict": result.verdict,
         "criterion": result.criterion,
@@ -274,12 +278,8 @@ def _cmd_threshold(args) -> Iterable[str]:
 def _cmd_qinflex(args) -> Iterable[str]:
     s = BellDiagonalState(*args.xyz)
     report = order_parameter(s, q_max=args.q_max, refine_tol=args.refine_tol)
-    command = {
-        "name": "qinflex",
-        "xyz": list(args.xyz),
-        "q_max": args.q_max,
-        "refine_tol": args.refine_tol,
-    }
+    command = {"name": "qinflex", "xyz": list(args.xyz), "q_max": args.q_max,
+               "refine_tol": args.refine_tol}
     payload = {
         "q_inflexion": report.q_inflexion,
         "eta": report.eta,
@@ -297,26 +297,27 @@ def _cmd_qinflex(args) -> Iterable[str]:
 
 def _grid_document(header: list[str], axes, evaluate) -> Iterable[str]:
     """CSV chunks of every cell of the grid ``axes`` (``grid_axes`` output),
-    x-major: the header line, then one chunk per x plane. A row holds x, y,
-    z, physical, then the fields ``evaluate`` returns for a physical cell,
-    left empty for the others.
+    in ``physical_cells`` order: the header line, then one chunk per x plane.
+    A row holds x, y, z, physical, then the fields ``evaluate`` returns for a
+    physical cell, left empty for the others.
 
-    Each axis point is formatted once, by position: a cache keyed on the
-    float would print -0.0 wherever 0.0 came first, as 0.0 == -0.0.
+    Each axis point is formatted once and looked up by position: a cache
+    keyed on the float would print -0.0 wherever 0.0 came first, as
+    0.0 == -0.0.
     """
-    labels = product(*[list(map(_csv_field, axis)) for axis in axes])
-    cells = zip(labels, physical_cells(axes))
-    plane_size = len(axes[1]) * len(axes[2])
+    xs, ys, zs = ([_csv_field(v) for v in axis] for axis in axes)
+    cells = physical_cells(axes)
     unphysical = ",0" + "," * (len(header) - 4) + "\n"
     yield ",".join(header) + "\n"
-    for _ in axes[0]:
+    for fx in xs:
         plane = []
-        for (fx, fy, fz), (_, _, _, s) in islice(cells, plane_size):
+        for i, (_, _, _, s) in enumerate(islice(cells, len(ys) * len(zs))):
+            j, k = divmod(i, len(zs))
             if s is None:
-                plane.append(f"{fx},{fy},{fz}{unphysical}")
+                plane.append(f"{fx},{ys[j]},{zs[k]}{unphysical}")
             else:
                 fields = ",".join(map(_csv_field, evaluate(s)))
-                plane.append(f"{fx},{fy},{fz},1,{fields}\n")
+                plane.append(f"{fx},{ys[j]},{zs[k]},1,{fields}\n")
         yield "".join(plane)
 
 
@@ -387,13 +388,9 @@ def _figure_fig3() -> Iterable[str]:
 
 
 def _cmd_figure(args) -> Iterable[str]:
-    if args.which == "fig1a":
-        return _figure_fig1a()
-    if args.which == "fig1b":
-        return _figure_fig1b()
-    if args.which == "fig2":
-        return _figure_fig2()
-    return _figure_fig3()
+    figures = {"fig1a": _figure_fig1a, "fig1b": _figure_fig1b,
+               "fig2": _figure_fig2, "fig3": _figure_fig3}
+    return figures[args.which]()
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +511,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError) and args.out is None:
+            # the reader stopped early (`qsep scan | head`): drop the rest quietly
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 0
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

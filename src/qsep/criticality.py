@@ -125,13 +125,7 @@ def _search(weights, q_max: float) -> CriticalityReport:
         a, b = d2[lo], d2[hi]
         if math.isfinite(a) and math.isfinite(b) and a * b < 0.0:
             q_inflexion = _newton(pairs, lo, hi, a, b)
-            return CriticalityReport(
-                q_inflexion=q_inflexion,
-                eta=1.0 / (1.0 + q_inflexion),
-                bracket=(lo, hi),
-                d2_at_bracket=(a, b),
-                extra_brackets=(),
-            )
+            return CriticalityReport(q_inflexion, 1.0 / (1.0 + q_inflexion), (lo, hi), (a, b), ())
     return CriticalityReport(None, 0.0, None, None, ())
 
 

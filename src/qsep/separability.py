@@ -37,11 +37,11 @@ from .errors import BracketError
 from .entropy import bell_log_pairs, entropy_kernel, rescaled_power_sum
 from .linalg import hermitian_eigenvalues, partial_transpose
 from .states import (
-    WEIGHT_TOL,
     BellDiagonalState,
     TwoQubitState,
     bell_diagonal_density,
     bell_weights,
+    nonnegative_weights,
     physical_weights,
 )
 
@@ -210,9 +210,7 @@ def ar_classify_scan(s: BellDiagonalState,
     asymptotic = ar_classify_asymptotic(s, BOUNDARY_TOL_ANALYTIC)
     if min_value < -boundary_tol:
         return Classification("entangled", "ar-scan", min_value, min_q)
-    if asymptotic.verdict == "entangled":
-        return asymptotic
-    if asymptotic.verdict == "boundary":
+    if asymptotic.verdict in ("entangled", "boundary"):
         return asymptotic
     return Classification("separable", "ar-scan", min_value, min_q)
 
@@ -310,12 +308,13 @@ def physical_cells(axes):
     """Yield (x, y, z, state) for each cell of the product of ``grid_axes``
     output, x-major: x outermost, z fastest.
 
-    state is the cell's BellDiagonalState when no weight lies below
-    -WEIGHT_TOL, the test ``physical_weights`` makes, and None otherwise.
+    state is the cell's BellDiagonalState when its weights pass
+    ``nonnegative_weights``, the test ``physical_weights`` makes, and None
+    otherwise.
     """
     for x, y, z in product(*axes):
         s = BellDiagonalState(x, y, z)
-        yield x, y, z, (None if min(bell_weights(s)) < -WEIGHT_TOL else s)
+        yield x, y, z, (s if nonnegative_weights(bell_weights(s)) else None)
 
 
 def classify_state(s: BellDiagonalState, method: str,

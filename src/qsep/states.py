@@ -8,8 +8,9 @@ Conventions, fixed once for the whole package:
   weights ((1-x)/4, (1-y)/4, (1-z)/4, (1+x+y+z)/4) on them, in that order.
 
 Physical states fill the tetrahedron x, y, z <= 1 with x + y + z >= -1,
-whose vertices map to the four Bell projectors. ``physical_weights`` is the
-one physicality check of every public entry point that takes a state.
+whose vertices map to the four Bell projectors. ``nonnegative_weights`` is
+the one statement of that rule, and ``physical_weights`` is the one
+physicality check of every public entry point that takes a state.
 """
 
 from __future__ import annotations
@@ -76,21 +77,26 @@ def bell_spectrum(s: BellDiagonalState) -> Spectrum:
     return Spectrum.from_values(bell_weights(s), stochastic=True)
 
 
+def nonnegative_weights(weights) -> bool:
+    """True when no weight lies below -WEIGHT_TOL: the physicality rule."""
+    return min(weights) >= -WEIGHT_TOL
+
+
 def is_physical(s: BellDiagonalState) -> PhysicalityCheck:
     """Check all four weights are nonnegative within WEIGHT_TOL."""
-    violations = tuple(
-        f"weight[{label}] = {w:.6g} is negative"
-        for label, w in zip(WEIGHT_LABELS, bell_weights(s))
-        if w < -WEIGHT_TOL
-    )
-    return PhysicalityCheck(ok=not violations, violations=violations)
+    weights = bell_weights(s)
+    if nonnegative_weights(weights):
+        return PhysicalityCheck(ok=True, violations=())
+    violations = tuple(f"weight[{label}] = {w:.6g} is negative"
+                       for label, w in zip(WEIGHT_LABELS, weights) if w < -WEIGHT_TOL)
+    return PhysicalityCheck(ok=False, violations=violations)
 
 
 def physical_weights(s: BellDiagonalState) -> tuple[float, float, float, float]:
     """bell_weights(s), or UnphysicalStateError naming each weight below
     -WEIGHT_TOL (the message ``is_physical`` builds; it is called only then)."""
     weights = bell_weights(s)
-    if min(weights) < -WEIGHT_TOL:
+    if not nonnegative_weights(weights):
         raise UnphysicalStateError("; ".join(is_physical(s).violations))
     return weights
 

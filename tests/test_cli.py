@@ -265,6 +265,46 @@ def test_unwritable_out_path(capsys):
     assert err.startswith("error:")
 
 
+def test_out_through_a_symlink_keeps_the_link_and_the_mode(tmp_path, capsys):
+    expected = run_cli(capsys, "figure", "fig1b")[1]
+    real = tmp_path / "real.csv"
+    real.write_bytes(b"old\n")
+    real.chmod(0o640)
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    assert run_cli(capsys, "figure", "fig1b", "--out", str(link)) == (0, "", "")
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_text(encoding="utf-8") == expected
+    assert real.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_out_to_a_fifo_writes_through_it(tmp_path, capsys):
+    expected = run_cli(capsys, "scan", "--range=-1:1:5")[1]
+    fifo = tmp_path / "scan.fifo"
+    os.mkfifo(fifo)
+    # the reader runs in a child process: opening a FIFO blocks until both ends are open
+    reader = subprocess.Popen([sys.executable, "-c",
+                               "import sys; sys.stdout.write(open(sys.argv[1]).read())",
+                               str(fifo)], stdout=subprocess.PIPE, text=True)
+    try:
+        assert run_cli(capsys, "scan", "--range=-1:1:5", "--out", str(fifo)) == (0, "", "")
+        assert reader.communicate(timeout=60)[0] == expected
+    finally:
+        reader.kill()
+    assert fifo.is_fifo() and [p.name for p in tmp_path.iterdir()] == ["scan.fifo"]
+
+
+def test_a_reader_closing_stdout_early_ends_the_run_quietly():
+    proc = subprocess.Popen([sys.executable, "-m", "qsep", "scan"], env=package_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"x,y,z,physical,")
+    proc.stdout.close()  # the default grid's rows far outgrow a pipe's buffer
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")
+
+
 def test_repeated_runs_are_identical(capsys):
     first = run_cli(capsys, "qinflex", "--xyz", "0.7,0.7,0.7")[1]
     second = run_cli(capsys, "qinflex", "--xyz", "0.7,0.7,0.7")[1]

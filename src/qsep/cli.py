@@ -10,7 +10,14 @@ endings). Grid rows are written one x plane at a time as they are computed.
 
 Exit codes: 0 success, 1 output I/O error, 2 usage error, 3 domain error
 (unphysical state or invalid weights), 4 numerical failure (no bracket,
-eigensolver breakdown). ``--out`` is written only on success.
+eigensolver breakdown). ``--out`` is written only on success: the output
+goes to a temporary file beside the target, which replaces the target at the
+end and is removed when the run fails or gets SIGTERM (exit 143). SIGKILL
+cannot be caught, so a run killed by it leaves the temporary file
+``.<name>.<pid>.tmp`` behind.
+
+Importing this module does not load numpy. Only ``--method ppt``, which
+diagonalises a matrix, loads it.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import argparse
 import contextlib
 import math
 import os
+import signal
 import stat
 import sys
 from collections.abc import Iterable
@@ -134,11 +142,16 @@ def _scalar_document(args, command: dict, payload: dict) -> Iterable[str]:
     return (_json_document(command, payload),)
 
 
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def _write(chunks: Iterable[str], out: str | None) -> None:
     """Write the chunks as they come: to stdout; to ``out`` itself if it is
     a device, FIFO or other special file; else to a temporary file beside the
     path ``out`` resolves to, which takes the old file's mode, replaces it
-    once all chunks are written, and is removed on any failure."""
+    once all chunks are written, and is removed on any failure, SIGTERM
+    included."""
     if out is None:
         sys.stdout.writelines(chunks)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
@@ -150,6 +163,9 @@ def _write(chunks: Iterable[str], out: str | None) -> None:
         return
     head, tail = os.path.split(os.path.realpath(out))
     temp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    # SIGTERM's default action ends the process at once; as an exception it
+    # reaches the cleanup below
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
     try:
         with open(temp, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
@@ -162,6 +178,8 @@ def _write(chunks: Iterable[str], out: str | None) -> None:
         if isinstance(exc, OSError):  # name the target, not the temporary file
             raise OSError(exc.errno, exc.strerror, out) from None
         raise
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 # ---------------------------------------------------------------------------

@@ -42,18 +42,16 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
-import numpy as np
-
 from .entropy import bell_log_pairs, entropy_kernel
 from .states import BellDiagonalState, physical_weights
-from .separability import AxisSpec, check_tolerance, grid_axes, physical_cells
+from .separability import AxisSpec, check_tolerance, grid_axes, log_grid, physical_cells
 
 Q_FLOOR = 1e-3
 Q_MAX_DEFAULT = 200.0
 REFINE_TOL_DEFAULT = 1e-8
 SEARCH_POINTS = 240
 _VERTEX_TOL = 1e-12
-_DEFAULT_SEARCH_GRID = np.geomspace(Q_FLOOR, Q_MAX_DEFAULT, SEARCH_POINTS).tolist()
+_DEFAULT_SEARCH_GRID = log_grid(Q_FLOOR, Q_MAX_DEFAULT, SEARCH_POINTS)
 
 
 @dataclass(frozen=True)
@@ -108,7 +106,7 @@ def _search(weights, q_max: float) -> CriticalityReport:
     if q_max == Q_MAX_DEFAULT:
         grid = _DEFAULT_SEARCH_GRID
     else:
-        grid = np.geomspace(Q_FLOOR, q_max, SEARCH_POINTS).tolist()
+        grid = log_grid(Q_FLOOR, q_max, SEARCH_POINTS)
 
     d2 = {}
 

@@ -1,12 +1,14 @@
 """Dense complex linear algebra for 2x2 and 4x4 Hermitian operators.
 
-Everything here takes numpy arrays of complex128. Composite operators on
-two qubits use the row index convention 2*i_A + i_B, so the first tensor
-factor is the slow index. Eigenvalues come from a cyclic Jacobi solver so the
-package does not depend on LAPACK behaviour for its core results; tests
-cross-check it against an independent solver. The solver, its Hermiticity
-check and the symmetrisation run on the matrix as nested lists of Python
-complex numbers: for a 4x4 matrix that is several times faster than
+Operators are anything ``numpy.asarray`` turns into a complex128 matrix.
+numpy is imported by the functions that take or return a matrix, not with
+this module, so the package's scalar paths start without it. Composite
+operators on two qubits use the row index convention 2*i_A + i_B, so the
+first tensor factor is the slow index. Eigenvalues come from a cyclic Jacobi
+solver so the package does not depend on LAPACK behaviour for its core
+results; tests cross-check it against an independent solver. The solver, its
+Hermiticity check and the symmetrisation run on the matrix as nested lists of
+Python complex numbers: for a 4x4 matrix that is several times faster than
 indexing numpy scalars, and it is still free of LAPACK.
 """
 
@@ -14,11 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import ConvergenceError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Eigenvalues at or below this are treated as zero; power sums run over the
 # support only, which keeps q <= 0 well defined for rank-deficient spectra.
@@ -72,6 +75,8 @@ class Spectrum:
 
 
 def _as_operator(m: np.ndarray, dims: tuple[int, ...], name: str = "matrix") -> np.ndarray:
+    import numpy as np
+
     arr = np.asarray(m, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
@@ -84,6 +89,8 @@ def _as_operator(m: np.ndarray, dims: tuple[int, ...], name: str = "matrix") -> 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two single-qubit operators."""
+    import numpy as np
+
     a = _as_operator(a, (2,), "a")
     b = _as_operator(b, (2,), "b")
     return np.kron(a, b)
@@ -91,6 +98,8 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def partial_trace(m: np.ndarray, keep: str) -> np.ndarray:
     """Trace out one qubit of a two-qubit operator, keeping subsystem A or B."""
+    import numpy as np
+
     arr = _as_operator(m, (4,))
     t = arr.reshape(2, 2, 2, 2)  # axes (i_A, i_B, j_A, j_B)
     if keep == "A":

@@ -30,8 +30,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import BracketError
 from .entropy import bell_log_pairs, entropy_kernel, rescaled_power_sum
@@ -43,7 +42,11 @@ from .states import (
     bell_weights,
     nonnegative_weights,
     physical_weights,
+    xyz_weights,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BOUNDARY_TOL_ANALYTIC = 1e-9
 BOUNDARY_TOL_SCAN = 1e-7
@@ -161,10 +164,30 @@ def ar_classify_asymptotic(s: BellDiagonalState,
     return _banded_verdict(witness, "ar-asymptotic", boundary_tol)
 
 
+def _linspace(lo: float, hi: float, count: int) -> tuple[float, ...]:
+    # np.linspace's arithmetic, point for point: i * step + lo, then hi
+    # itself as the last point; count >= 2.
+    step = (hi - lo) / (count - 1)
+    return tuple(i * step + lo for i in range(count - 1)) + (hi,)
+
+
+def log_grid(lo: float, hi: float, count: int) -> tuple[float, ...]:
+    """count points from lo to hi, 0 < lo < hi and count >= 2, evenly spaced
+    in log10, both ends exact.
+
+    The recipe is ``np.geomspace(lo, hi, count)``'s: 10 ** e over the
+    exponents e that ``np.linspace`` spaces from log10(lo) to log10(hi). The
+    power is the C library's, not numpy's vectorised one. On every grid the
+    package builds, the two differ at a few points, by 1 ulp, and this one
+    is the correctly rounded value there.
+    """
+    exponents = _linspace(math.log10(lo), math.log10(hi), count)
+    return (float(lo),) + tuple(10.0**e for e in exponents[1:-1]) + (float(hi),)
+
+
 def default_q_grid() -> tuple[float, ...]:
     """Sixty log-spaced samples of q - 1 reaching q = 200, plus sub-1 probes."""
-    offsets = np.geomspace(1e-2, 199.0, 60)
-    return (0.25, 0.5, 0.75, 1.0) + tuple(1.0 + float(o) for o in offsets)
+    return (0.25, 0.5, 0.75, 1.0) + tuple(1.0 + o for o in log_grid(1e-2, 199.0, 60))
 
 
 _DEFAULT_Q_GRID = default_q_grid()
@@ -280,6 +303,8 @@ MAX_GRID_CELLS = 2**22
 
 
 def grid_points(spec: AxisSpec, name: str) -> tuple[float, ...]:
+    """count evenly spaced points from lo to hi, both included, for spec =
+    (lo, hi, count); bit for bit the points of ``np.linspace(lo, hi, count)``."""
     lo, hi, count = float(spec[0]), float(spec[1]), int(spec[2])
     if count < 1:
         raise ValueError(f"{name} axis needs at least one point")
@@ -289,7 +314,7 @@ def grid_points(spec: AxisSpec, name: str) -> tuple[float, ...]:
         )
     if count == 1:
         return (lo,)
-    return tuple(float(v) for v in np.linspace(lo, hi, count))
+    return _linspace(lo, hi, count)
 
 
 def grid_axes(x_spec: AxisSpec, y_spec: AxisSpec,
@@ -313,8 +338,8 @@ def physical_cells(axes):
     otherwise.
     """
     for x, y, z in product(*axes):
-        s = BellDiagonalState(x, y, z)
-        yield x, y, z, (s if nonnegative_weights(bell_weights(s)) else None)
+        physical = nonnegative_weights(xyz_weights(x, y, z))
+        yield x, y, z, (BellDiagonalState(x, y, z) if physical else None)
 
 
 def classify_state(s: BellDiagonalState, method: str,

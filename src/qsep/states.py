@@ -5,7 +5,11 @@ Conventions, fixed once for the whole package:
 * computational basis order is (up-up, up-down, down-up, down-down);
 * Bell kets carry real amplitudes +-1/sqrt(2);
 * projector order is (phi+, phi-, psi+, psi-), and a state (x, y, z) puts
-  weights ((1-x)/4, (1-y)/4, (1-z)/4, (1+x+y+z)/4) on them, in that order.
+  weights ((1-x)/4, (1-y)/4, (1-z)/4, (1+x+y+z)/4) on them, in that order,
+  as ``xyz_weights`` computes them.
+
+numpy is loaded only by the matrix API: ``bell_projectors``,
+``TwoQubitState`` and ``bell_diagonal_density``.
 
 Physical states fill the tetrahedron x, y, z <= 1 with x + y + z >= -1,
 whose vertices map to the four Bell projectors. ``nonnegative_weights`` is
@@ -17,11 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from functools import cache
+from typing import TYPE_CHECKING
 
 from .errors import UnphysicalStateError
 from .linalg import Spectrum, hermitian_eigenvalues
+
+if TYPE_CHECKING:
+    import numpy as np
 
 WEIGHT_TOL = 1e-12
 WEIGHT_LABELS = ("phi+", "phi-", "psi+", "psi-")
@@ -62,14 +69,20 @@ class PhysicalityCheck:
         return self.ok
 
 
+def xyz_weights(x: float, y: float, z: float) -> tuple[float, float, float, float]:
+    """Weights on (phi+, phi-, psi+, psi-) of the parameters (x, y, z), in
+    canonical projector order: the one statement of the weight formula."""
+    return (
+        (1.0 - x) / 4.0,
+        (1.0 - y) / 4.0,
+        (1.0 - z) / 4.0,
+        (1.0 + x + y + z) / 4.0,
+    )
+
+
 def bell_weights(s: BellDiagonalState) -> tuple[float, float, float, float]:
     """Weights on (phi+, phi-, psi+, psi-), in canonical projector order."""
-    return (
-        (1.0 - s.x) / 4.0,
-        (1.0 - s.y) / 4.0,
-        (1.0 - s.z) / 4.0,
-        (1.0 + s.x + s.y + s.z) / 4.0,
-    )
+    return xyz_weights(s.x, s.y, s.z)
 
 
 def bell_spectrum(s: BellDiagonalState) -> Spectrum:
@@ -103,6 +116,8 @@ def physical_weights(s: BellDiagonalState) -> tuple[float, float, float, float]:
 
 def bell_projectors() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The four Bell projectors as 4x4 complex matrices, canonical order."""
+    import numpy as np
+
     mats = []
     for ket in _BELL_KETS:
         v = np.asarray(ket, dtype=np.complex128)
@@ -110,8 +125,10 @@ def bell_projectors() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return tuple(mats)
 
 
-# Built once: bell_diagonal_density sums these for every state.
-_BELL_PROJECTORS = bell_projectors()
+@cache
+def _shared_projectors():
+    # Built on first use, once: bell_diagonal_density sums these for every state.
+    return bell_projectors()
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,6 +144,8 @@ class TwoQubitState:
     spectrum: Spectrum = field(init=False)
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         arr = np.asarray(self.matrix, dtype=np.complex128)
         if arr.shape != (4, 4):
             raise ValueError(f"density matrix must be 4x4, got shape {arr.shape}")
@@ -148,9 +167,11 @@ class TwoQubitState:
 
 def bell_diagonal_density(s: BellDiagonalState) -> TwoQubitState:
     """Density matrix sum_k w_k P_k of a physical Bell-diagonal state."""
+    import numpy as np
+
     weights = physical_weights(s)
     m = np.zeros((4, 4), dtype=np.complex128)
-    for w, proj in zip(weights, _BELL_PROJECTORS):
+    for w, proj in zip(weights, _shared_projectors()):
         m += w * proj
     return TwoQubitState(matrix=m)
 

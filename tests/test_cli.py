@@ -13,8 +13,10 @@ import json
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -246,6 +248,70 @@ def test_cli_import_leaves_process_pools_out():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=package_env(), timeout=60, check=True)
     assert result.stdout.strip() == "[]"
+
+
+# Every command but a ppt classification is scalar arithmetic on the Bell
+# weights; numpy's import would be most of their start-up time.
+NUMPY_FREE_COMMANDS = [
+    ["cond", "--xyz", "0.7,0.5,0.4", "--q", "2"],
+    ["entropy", "--xyz", "0.7,0.5,0.4", "--q", "2"],
+    ["classify", "--xyz", "0.7,0.5,0.4", "--method", "ar-asymptotic"],
+    ["classify", "--xyz", "0.7,0.5,0.4", "--method", "ar-scan"],
+    ["threshold", "--q", "2"],
+    ["qinflex", "--xyz", "0.6,0.6,0.6"],
+    ["figure", "fig3"],
+    ["scan", "--range=-1:1:5", "--method", "ar-asymptotic"],
+    ["scan", "--range=-1:1:5", "--method", "ar-scan"],
+]
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import qsep
+loaded = ["numpy" in sys.modules]
+import qsep.cli
+loaded.append("numpy" in sys.modules)
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        loaded.append([qsep.cli.main(argv), "numpy" in sys.modules])
+print(json.dumps([loaded, out.getvalue()]))
+"""
+# The output of this command before numpy left the import path.
+PPT_CLASSIFY = (
+    '{\n  "format": "qsep/1",\n  "command": {\n    "name": "classify",\n'
+    '    "xyz": [0.69999999999999996, 0.5, 0.40000000000000002],\n    "method": "ppt",\n'
+    '    "boundary_tol": 1.0000000000000001e-09\n  },\n  "payload": {\n'
+    '    "verdict": "entangled",\n    "criterion": "ppt",\n'
+    '    "witness": 0.15000000000000002,\n    "witness_q": null\n  }\n}\n'
+)
+
+
+def test_only_the_ppt_method_loads_numpy():
+    commands = NUMPY_FREE_COMMANDS + [["classify", "--xyz", "0.7,0.5,0.4", "--method", "ppt"]]
+    result = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(commands)],
+                            capture_output=True, text=True, env=package_env(), timeout=120,
+                            check=True)
+    loaded, ppt_output = json.loads(result.stdout)
+    assert loaded[:2] == [False, False]  # import qsep; import qsep.cli
+    assert loaded[2:-1] == [[0, False]] * len(NUMPY_FREE_COMMANDS)
+    assert loaded[-1] == [0, True]
+    assert ppt_output == PPT_CLASSIFY
+
+
+def test_sigterm_removes_the_temporary_out_file(tmp_path):
+    target = tmp_path / "fig3.csv"
+    proc = subprocess.Popen([sys.executable, "-m", "qsep", "figure", "fig3", "--out", str(target)],
+                            env=package_env(), stderr=subprocess.PIPE)
+    try:
+        for _ in range(6000):  # the temporary file appears before the first row is computed
+            if any(tmp_path.iterdir()) or proc.poll() is not None:
+                break
+            time.sleep(0.005)
+        assert [p.name for p in tmp_path.iterdir()] == [f".fig3.csv.{proc.pid}.tmp"]
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (143, b"")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_out_flag_writes_identical_bytes(tmp_path, capsys):

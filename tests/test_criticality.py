@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -23,7 +22,7 @@ from qsep.criticality import (
     CriticalityReport,
 )
 from qsep.entropy import bell_log_pairs, entropy_kernel
-from qsep.separability import bisect, grid_points
+from qsep.separability import bisect, grid_points, log_grid
 from qsep.states import bell_weights
 
 from helpers import state_from_weights, tetrahedron_states
@@ -192,7 +191,7 @@ def linear_scan_report(s: BellDiagonalState, q_max: float) -> CriticalityReport:
     order_parameter ran this scan before it used S''' < 0 to binary-search
     the grid and to take Newton steps inside the bracket."""
     pairs = bell_log_pairs(bell_weights(s))
-    grid = np.geomspace(Q_FLOOR, q_max, SEARCH_POINTS).tolist()
+    grid = log_grid(Q_FLOOR, q_max, SEARCH_POINTS)
     d2 = [entropy_kernel(pairs, q, 2) for q in grid]
     brackets = [k for k in range(len(grid) - 1)
                 if math.isfinite(d2[k]) and math.isfinite(d2[k + 1]) and d2[k] * d2[k + 1] < 0.0]
@@ -249,7 +248,7 @@ def test_binary_search_matches_the_linear_scan_at_the_edges(weights, q_max):
 def test_second_derivative_is_non_increasing_on_the_search_grid(s):
     pairs = bell_log_pairs(bell_weights(s))
     d2 = [entropy_kernel(pairs, q, 2)
-          for q in np.geomspace(Q_FLOOR, Q_MAX_DEFAULT, SEARCH_POINTS).tolist()]
+          for q in log_grid(Q_FLOOR, Q_MAX_DEFAULT, SEARCH_POINTS)]
     assert all(a >= b for a, b in zip(d2, d2[1:]))
 
 

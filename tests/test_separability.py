@@ -24,7 +24,7 @@ from qsep import (
     werner,
 )
 import qsep.separability
-from qsep.criticality import eta_field
+from qsep.criticality import Q_FLOOR, Q_MAX_DEFAULT, SEARCH_POINTS, eta_field
 from qsep.entropy import bell_log_pairs, entropy_kernel
 from qsep.separability import (
     BOUNDARY_TOL_ANALYTIC,
@@ -33,6 +33,7 @@ from qsep.separability import (
     Classification,
     grid_axes,
     grid_points,
+    log_grid,
     physical_cells,
 )
 from qsep.states import WEIGHT_TOL, bell_weights, is_physical
@@ -352,6 +353,34 @@ def test_grid_points_validation_and_endpoints():
         grid_points((-4.0, 1.0, 5), "x")
     with pytest.raises(ValueError):
         grid_points((0.0, 2.0, 5), "z")
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.floats(-3.5, 1.5), st.floats(-3.5, 1.5), st.integers(1, 400))
+def test_grid_points_are_numpy_linspace_bit_for_bit(a, b, count):
+    lo, hi = min(a, b), max(a, b)
+    points = grid_points((lo, hi, count), "x")
+    assert [v.hex() for v in points] == [v.hex() for v in np.linspace(lo, hi, count).tolist()]
+
+
+# Every log grid the package builds: default_q_grid's offsets of q from 1, and
+# the inflexion search grid at the default q_max and the others tests use.
+PACKAGE_LOG_GRIDS = [(1e-2, 199.0, 60), (Q_FLOOR, 5.0, SEARCH_POINTS),
+                     (Q_FLOOR, Q_MAX_DEFAULT, SEARCH_POINTS), (Q_FLOOR, 1e4, SEARCH_POINTS)]
+
+
+@pytest.mark.parametrize("lo, hi, count", PACKAGE_LOG_GRIDS)
+def test_log_grid_is_geomspace_within_an_ulp_and_correctly_rounded_where_not(lo, hi, count):
+    mp = pytest.importorskip("mpmath")
+    grid = log_grid(lo, hi, count)
+    assert len(grid) == count and grid[0] == lo and grid[-1] == hi
+    # the exponents log_grid raises 10 to, by the linspace arithmetic above
+    exponents = np.linspace(math.log10(lo), math.log10(hi), count).tolist()
+    with mp.workdps(40):
+        for point, numpy_point, e in zip(grid, np.geomspace(lo, hi, count).tolist(), exponents):
+            if point != numpy_point:
+                assert abs(point - numpy_point) <= math.ulp(numpy_point)
+                assert point == float(mp.power(10, mp.mpf(e)))
 
 
 def test_grids_above_the_cap_raise_before_any_point_is_made(monkeypatch):

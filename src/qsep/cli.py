@@ -12,9 +12,10 @@ Exit codes: 0 success, 1 output I/O error, 2 usage error, 3 domain error
 (unphysical state or invalid weights), 4 numerical failure (no bracket,
 eigensolver breakdown). ``--out`` is written only on success: the output
 goes to a temporary file beside the target, which replaces the target at the
-end and is removed when the run fails or gets SIGTERM (exit 143). SIGKILL
-cannot be caught, so a run killed by it leaves the temporary file
-``.<name>.<pid>.tmp`` behind.
+end and is removed when the run fails or gets SIGTERM (exit 143) or SIGHUP
+(exit 129); a signal the run was started ignoring, as ``nohup`` ignores
+SIGHUP, stays ignored. SIGKILL cannot be caught, so a run killed by it
+leaves the temporary file ``.<name>.<pid>.tmp`` behind.
 
 Importing this module does not load numpy. Only ``--method ppt``, which
 diagonalises a matrix, loads it.
@@ -37,10 +38,10 @@ from .entropy import bell_log_pairs, conditional_entropy_bell, entropy_kernel, t
 from .errors import NumericalError
 from .linalg import EPS_SUPPORT, Spectrum
 from .separability import (
-    BOUNDARY_TOL_ANALYTIC,
-    BOUNDARY_TOL_SCAN,
+    DEFAULT_BOUNDARY_TOL,
+    NAMED_DIRECTIONS,
     ar_classify_asymptotic,
-    check_boundary_tol,
+    boundary_tol_for,
     classify_state,
     grid_axes,
     physical_cells,
@@ -69,8 +70,20 @@ _JOBS_HELP = "accepted for compatibility; has no effect (grids run in one proces
 # output rendering
 
 
-def _f17(v: float) -> str:
-    return format(float(v), ".17g")
+def _csv_field(v) -> str:
+    """A scalar's text: floats to 17 significant digits, non-finite ones as
+    nan, inf or -inf; booleans as 1 or 0; None as the empty field."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if isinstance(v, str):
+        return v
+    if isinstance(v, float):
+        return format(float(v), ".17g")
+    if isinstance(v, int):
+        return str(v)
+    raise TypeError(f"cannot render {type(v)!r} as CSV")
 
 
 def _json_scalar(v) -> str:
@@ -81,15 +94,11 @@ def _json_scalar(v) -> str:
     if isinstance(v, str):
         escaped = v.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"'
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        if math.isnan(v):
-            return '"nan"'
-        if math.isinf(v):
-            return '"inf"' if v > 0 else '"-inf"'
-        return _f17(v)
-    raise TypeError(f"cannot render {type(v)!r} as JSON")
+    if not isinstance(v, (int, float)):
+        raise TypeError(f"cannot render {type(v)!r} as JSON")
+    text = _csv_field(v)
+    # JSON has no literal for a non-finite number: it goes out as a string
+    return f'"{text}"' if isinstance(v, float) and not math.isfinite(v) else text
 
 
 def _render_json(obj, indent: int) -> str:
@@ -107,29 +116,6 @@ def _render_json(obj, indent: int) -> str:
     return _json_scalar(obj)
 
 
-def _json_document(command: dict, payload: dict) -> str:
-    record = {"format": FORMAT_VERSION, "command": command, "payload": payload}
-    return _render_json(record, 0) + "\n"
-
-
-def _csv_field(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, str):
-        return v
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return _f17(v)
-    if isinstance(v, int):
-        return str(v)
-    raise TypeError(f"cannot render {type(v)!r} as CSV")
-
-
 def _csv_document(header, rows) -> Iterable[str]:
     """CSV chunks: the header line, then every row."""
     yield ",".join(header) + "\n"
@@ -139,7 +125,8 @@ def _csv_document(header, rows) -> Iterable[str]:
 def _scalar_document(args, command: dict, payload: dict) -> Iterable[str]:
     if getattr(args, "format", "json") == "csv":
         return _csv_document(list(payload), [tuple(payload.values())])
-    return (_json_document(command, payload),)
+    record = {"format": FORMAT_VERSION, "command": command, "payload": payload}
+    return (_render_json(record, 0) + "\n",)
 
 
 def _exit_on_signal(signum, frame):
@@ -150,8 +137,8 @@ def _write(chunks: Iterable[str], out: str | None) -> None:
     """Write the chunks as they come: to stdout; to ``out`` itself if it is
     a device, FIFO or other special file; else to a temporary file beside the
     path ``out`` resolves to, which takes the old file's mode, replaces it
-    once all chunks are written, and is removed on any failure, SIGTERM
-    included."""
+    once all chunks are written, and is removed on any failure, SIGTERM and
+    SIGHUP included."""
     if out is None:
         sys.stdout.writelines(chunks)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
@@ -163,9 +150,12 @@ def _write(chunks: Iterable[str], out: str | None) -> None:
         return
     head, tail = os.path.split(os.path.realpath(out))
     temp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
-    # SIGTERM's default action ends the process at once; as an exception it
-    # reaches the cleanup below
-    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
+    # SIGTERM's and SIGHUP's default action ends the process at once; as
+    # exceptions they reach the cleanup below. An ignored one stays ignored.
+    previous = {signum: signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGHUP)}
+    for signum, handler in previous.items():
+        if handler is not signal.SIG_IGN:
+            signal.signal(signum, _exit_on_signal)
     try:
         with open(temp, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
@@ -179,45 +169,34 @@ def _write(chunks: Iterable[str], out: str | None) -> None:
             raise OSError(exc.errno, exc.strerror, out) from None
         raise
     finally:
-        signal.signal(signal.SIGTERM, previous)
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
 
 
 # ---------------------------------------------------------------------------
 # flag parsing helpers
 
 
-def _xyz_type(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected X,Y,Z, got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected three numbers, got {text!r}") from None
+def _numbers_type(names: str, words=()):
+    """argparse type for as many comma-separated numbers as ``names``, such
+    as "X,Y,Z", spells out, returned as a tuple of floats; a text among
+    ``words`` is returned as it is."""
+    count = len(names.split(","))
+    expected = ", ".join([*words, f"or {names}"]) if words else names
+
+    def parse(text: str):
+        if text in words:
+            return text
+        parts = text.split(",")
+        if len(parts) == count:
+            with contextlib.suppress(ValueError):
+                return tuple(float(p) for p in parts)
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return parse
 
 
-def _weights_type(text: str) -> tuple[float, float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError(f"expected W1,W2,W3,W4, got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected four numbers, got {text!r}") from None
-
-
-def _direction_type(text: str):
-    if text in ("diag", "axis", "edge"):
-        return text
-    parts = text.split(",")
-    if len(parts) == 3:
-        try:
-            return tuple(float(p) for p in parts)
-        except ValueError:
-            pass
-    raise argparse.ArgumentTypeError(
-        f"expected diag, axis, edge, or DX,DY,DZ, got {text!r}"
-    )
+_xyz_type = _numbers_type("X,Y,Z")
 
 
 def _range_type(text: str) -> tuple[float, float, int]:
@@ -270,8 +249,7 @@ def _cmd_cond(args) -> Iterable[str]:
 
 def _cmd_classify(args) -> Iterable[str]:
     s = BellDiagonalState(*args.xyz)
-    default_tol = BOUNDARY_TOL_SCAN if args.method == "ar-scan" else BOUNDARY_TOL_ANALYTIC
-    tol = default_tol if args.boundary_tol is None else args.boundary_tol
+    tol = boundary_tol_for(args.method, args.boundary_tol)
     result = classify_state(s, args.method, tol)
     command = {"name": "classify", "xyz": list(args.xyz), "method": args.method,
                "boundary_tol": tol}
@@ -344,11 +322,10 @@ def _cmd_scan(args) -> Iterable[str]:
     shared = args.range if args.range is not None else default
     specs = [spec if spec is not None else shared
              for spec in (args.xrange, args.yrange, args.zrange)]
-    if args.boundary_tol is not None:
-        check_boundary_tol(args.boundary_tol)
+    tol = boundary_tol_for(args.method, args.boundary_tol)
 
     def classify(s):
-        c = classify_state(s, args.method, args.boundary_tol)
+        c = classify_state(s, args.method, tol)
         return c.verdict, c.criterion, c.witness, c.witness_q
 
     header = ["x", "y", "z", "physical", "verdict", "criterion", "witness", "witness_q"]
@@ -432,7 +409,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entropy", help="Tsallis entropies of a state and its marginals")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--xyz", type=_xyz_type, help="state parameters X,Y,Z")
-    group.add_argument("--weights", type=_weights_type, help="Bell weights W1,W2,W3,W4")
+    group.add_argument("--weights", type=_numbers_type("W1,W2,W3,W4"),
+                       help="Bell weights W1,W2,W3,W4")
     p.add_argument("--q", type=float, required=True, help="entropic index")
     _add_output_flags(p)
     p.set_defaults(func=_cmd_entropy)
@@ -445,8 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="separability verdict for a state")
     p.add_argument("--xyz", type=_xyz_type, required=True)
-    p.add_argument("--method", choices=("ppt", "ar-asymptotic", "ar-scan"),
-                   default="ar-asymptotic")
+    p.add_argument("--method", choices=tuple(DEFAULT_BOUNDARY_TOL), default="ar-asymptotic")
     p.add_argument("--boundary-tol", type=float, default=None,
                    help="width of the boundary verdict band")
     _add_output_flags(p)
@@ -454,8 +431,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threshold", help="critical ray parameter at fixed q")
     p.add_argument("--q", type=float, required=True)
-    p.add_argument("--direction", type=_direction_type, default="diag",
-                   help="diag, axis, edge, or DX,DY,DZ")
+    p.add_argument("--direction", type=_numbers_type("DX,DY,DZ", words=tuple(NAMED_DIRECTIONS)),
+                   default="diag",
+                   help=f"{', '.join(NAMED_DIRECTIONS)}, or DX,DY,DZ")
     p.add_argument("--tol", type=float, default=1e-12)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_threshold)
@@ -480,8 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xrange", type=_range_type, default=None)
     p.add_argument("--yrange", type=_range_type, default=None)
     p.add_argument("--zrange", type=_range_type, default=None)
-    p.add_argument("--method", choices=("ppt", "ar-asymptotic", "ar-scan"),
-                   default="ar-asymptotic")
+    p.add_argument("--method", choices=tuple(DEFAULT_BOUNDARY_TOL), default="ar-asymptotic")
     p.add_argument("--boundary-tol", type=float, default=None)
     p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     _add_output_flags(p, formats=())

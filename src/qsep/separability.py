@@ -15,6 +15,8 @@ Three routes, deliberately independent of each other:
   minimum is first reached. The scan can only confirm an asymptotic
   "entangled" verdict, never override it.
 
+``DEFAULT_BOUNDARY_TOL`` maps each method of ``classify_state`` to its
+default verdict band, and ``boundary_tol_for`` resolves and checks both.
 ``threshold_x`` finds where a parameter ray leaves the region with
 nonnegative conditional entropy at fixed q, and ``region_scan`` sweeps a
 Cartesian grid with a chosen classifier. ``bisect`` is the one bisection
@@ -39,7 +41,6 @@ from .states import (
     BellDiagonalState,
     TwoQubitState,
     bell_diagonal_density,
-    bell_weights,
     nonnegative_weights,
     physical_weights,
     xyz_weights,
@@ -50,7 +51,12 @@ if TYPE_CHECKING:
 
 BOUNDARY_TOL_ANALYTIC = 1e-9
 BOUNDARY_TOL_SCAN = 1e-7
-_NAMED_DIRECTIONS = {
+DEFAULT_BOUNDARY_TOL = {
+    "ppt": BOUNDARY_TOL_ANALYTIC,
+    "ar-asymptotic": BOUNDARY_TOL_ANALYTIC,
+    "ar-scan": BOUNDARY_TOL_SCAN,
+}
+NAMED_DIRECTIONS = {
     "diag": (1.0, 1.0, 1.0),
     "axis": (1.0, 0.0, 0.0),
     "edge": (1.0, 1.0, 0.0),
@@ -118,6 +124,20 @@ def check_boundary_tol(boundary_tol: float) -> None:
     """Raise ValueError unless boundary_tol is finite and nonnegative."""
     if not (math.isfinite(boundary_tol) and boundary_tol >= 0.0):
         raise ValueError(f"boundary_tol must be finite and nonnegative, got {boundary_tol!r}")
+
+
+def boundary_tol_for(method: str, boundary_tol: float | None = None) -> float:
+    """The band ``classify_state(s, method, boundary_tol)`` applies: the
+    method's DEFAULT_BOUNDARY_TOL when boundary_tol is None. ValueError for
+    an unknown method or a band that is not finite and nonnegative."""
+    try:
+        default = DEFAULT_BOUNDARY_TOL[method]
+    except KeyError:
+        raise ValueError(f"unknown classification method {method!r}") from None
+    if boundary_tol is None:
+        return default
+    check_boundary_tol(boundary_tol)
+    return boundary_tol
 
 
 def _banded_verdict(witness: float, criterion: str, boundary_tol: float,
@@ -241,15 +261,15 @@ def ar_classify_scan(s: BellDiagonalState,
 def _direction_vector(direction) -> tuple[float, float, float]:
     if isinstance(direction, str):
         try:
-            return _NAMED_DIRECTIONS[direction]
+            return NAMED_DIRECTIONS[direction]
         except KeyError:
             raise ValueError(
-                f"direction must be one of {sorted(_NAMED_DIRECTIONS)} or a 3-vector, "
+                f"direction must be one of {sorted(NAMED_DIRECTIONS)} or a 3-vector, "
                 f"got {direction!r}"
             ) from None
     d = tuple(float(v) for v in direction)
-    if len(d) != 3 or all(v == 0.0 for v in d):
-        raise ValueError(f"custom direction must be a nonzero 3-vector, got {direction!r}")
+    if len(d) != 3 or not all(map(math.isfinite, d)) or all(v == 0.0 for v in d):
+        raise ValueError(f"custom direction must be a finite nonzero 3-vector, got {direction!r}")
     return d
 
 
@@ -262,7 +282,10 @@ def _ray_extent(d: tuple[float, float, float]) -> float:
         bounds.append(-1.0 / total)
     if not bounds:
         raise ValueError(f"direction {d!r} never leaves the physical region")
-    return min(bounds)
+    extent = min(bounds)
+    if extent == math.inf:  # components so small that 1/v overflows
+        raise ValueError(f"direction {d!r} is too short to reach the physical boundary")
+    return extent
 
 
 def threshold_x(q: float, direction="diag", tol: float = 1e-12) -> float:
@@ -280,18 +303,19 @@ def threshold_x(q: float, direction="diag", tol: float = 1e-12) -> float:
     d = _direction_vector(direction)
     t_max = _ray_extent(d)
 
+    def weights(t: float) -> tuple[float, float, float, float]:
+        return xyz_weights(t * d[0], t * d[1], t * d[2])
+
     def entangled(t: float) -> bool:
         # for q > 1, S_q(B|A) < 0 exactly where sum_k (2 w_k)^q > 2
-        weights = bell_weights(BellDiagonalState(t * d[0], t * d[1], t * d[2]))
-        return entropy_kernel(bell_log_pairs(weights), q) < 0.0
+        return entropy_kernel(bell_log_pairs(weights(t)), q) < 0.0
 
     if entangled(0.0):
         raise BracketError("ray starts outside the nonnegative-entropy region")
     if not entangled(t_max):
         # No crossing inside the physical segment. If the endpoint sits on
         # the exact critical surface the threshold is the physical boundary.
-        end = BellDiagonalState(t_max * d[0], t_max * d[1], t_max * d[2])
-        if max(bell_weights(end)) >= 0.5 - BOUNDARY_TOL_ANALYTIC:
+        if max(weights(t_max)) >= 0.5 - BOUNDARY_TOL_ANALYTIC:
             return t_max
         raise BracketError("ray never crosses the q-threshold surface")
     return bisect(entangled, 0.0, t_max, tol)
@@ -344,17 +368,14 @@ def physical_cells(axes):
 
 def classify_state(s: BellDiagonalState, method: str,
                    boundary_tol: float | None = None) -> Classification:
-    """Dispatch a physical Bell-diagonal state to one classifier."""
+    """Dispatch a physical Bell-diagonal state to one classifier, with the
+    band ``boundary_tol_for(method, boundary_tol)`` resolves."""
+    tol = boundary_tol_for(method, boundary_tol)
     if method == "ppt":
-        tol = BOUNDARY_TOL_ANALYTIC if boundary_tol is None else boundary_tol
         return ppt_classify(bell_diagonal_density(s), tol)
     if method == "ar-asymptotic":
-        tol = BOUNDARY_TOL_ANALYTIC if boundary_tol is None else boundary_tol
         return ar_classify_asymptotic(s, tol)
-    if method == "ar-scan":
-        tol = BOUNDARY_TOL_SCAN if boundary_tol is None else boundary_tol
-        return ar_classify_scan(s, boundary_tol=tol)
-    raise ValueError(f"unknown classification method {method!r}")
+    return ar_classify_scan(s, boundary_tol=tol)
 
 
 def region_scan(x_spec: AxisSpec, y_spec: AxisSpec, z_spec: AxisSpec,
@@ -363,15 +384,14 @@ def region_scan(x_spec: AxisSpec, y_spec: AxisSpec, z_spec: AxisSpec,
     """Classify every physical cell of a Cartesian (x, y, z) grid.
 
     Cells are enumerated x-major (x outermost, then y, then z), and
-    non-physical cells are kept in place with no classification. A given
-    boundary_tol must be finite and nonnegative, whatever the grid holds.
+    non-physical cells are kept in place with no classification. The method
+    and band are checked by ``boundary_tol_for``, whatever the grid holds.
     """
-    if boundary_tol is not None:
-        check_boundary_tol(boundary_tol)
+    tol = boundary_tol_for(method, boundary_tol)
     xs, ys, zs = axes = grid_axes(x_spec, y_spec, z_spec)
     cells = tuple(
         GridCell(x, y, z, False, None) if s is None
-        else GridCell(x, y, z, True, classify_state(s, method, boundary_tol))
+        else GridCell(x, y, z, True, classify_state(s, method, tol))
         for x, y, z, s in physical_cells(axes)
     )
     return RegionGrid(xs=xs, ys=ys, zs=zs, cells=cells)

@@ -9,6 +9,7 @@ no ``qsep`` distribution is installed.
 
 import csv
 import importlib.metadata
+import inspect
 import json
 import math
 import os
@@ -134,6 +135,31 @@ def test_classify_ppt_and_default_method(capsys):
     assert json.loads(out)["payload"]["verdict"] == "boundary"
 
 
+@pytest.mark.parametrize("method, classifier, default", [
+    ("ppt", "ppt_classify", 1e-9),
+    ("ar-asymptotic", "ar_classify_asymptotic", 1e-9),
+    ("ar-scan", "ar_classify_scan", 1e-7),
+])
+@pytest.mark.parametrize("flag", [[], ["--boundary-tol", "0.03125"]])
+def test_classify_echoes_the_band_the_classifier_applies(capsys, monkeypatch, method,
+                                                         classifier, default, flag):
+    original = getattr(qsep.separability, classifier)
+    applied = []
+
+    def recording(*args, **kwargs):
+        bound = inspect.signature(original).bind(*args, **kwargs)
+        bound.apply_defaults()
+        applied.append(bound.arguments["boundary_tol"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qsep.separability, classifier, recording)
+    code, out, _ = run_cli(capsys, "classify", "--xyz", "0.4,0.4,0.4", "--method", method, *flag)
+    assert code == 0
+    # ar-scan's own asymptotic cross-check may follow; the first call is the dispatch
+    assert json.loads(out)["command"]["boundary_tol"] == applied[0]
+    assert applied[0] == (0.03125 if flag else default)
+
+
 def test_classify_scan_reports_witness_location(capsys):
     code, out, _ = run_cli(
         capsys, "classify", "--xyz", "0.4,0.4,0.4", "--method", "ar-scan"
@@ -208,6 +234,9 @@ def test_exit_code_domain_errors(capsys):
     (["scan", "--range=1.2:1.4:3", "--boundary-tol", "-1"], 3),
     # 2000^3 cells, above the grid cap: refused before any cell is made
     (["scan", "--range=-3:1:2000"], 3),
+    # a non-finite direction is refused before the ray is walked
+    (["threshold", "--q", "2", "--direction", "inf,0,0"], 3),
+    (["threshold", "--q", "2", "--direction", "nan,0,0"], 3),
 ])
 def test_search_and_band_tolerances_exit_without_hanging(argv, expected):
     # Run in a subprocess with a timeout, so a bisection that stops
@@ -296,7 +325,9 @@ def test_only_the_ppt_method_loads_numpy():
     assert ppt_output == PPT_CLASSIFY
 
 
-def test_sigterm_removes_the_temporary_out_file(tmp_path):
+@pytest.mark.parametrize("signum, expected", [(signal.SIGTERM, 143), (signal.SIGHUP, 129)],
+                         ids=["SIGTERM", "SIGHUP"])
+def test_sigterm_removes_the_temporary_out_file(tmp_path, signum, expected):
     target = tmp_path / "fig3.csv"
     proc = subprocess.Popen([sys.executable, "-m", "qsep", "figure", "fig3", "--out", str(target)],
                             env=package_env(), stderr=subprocess.PIPE)
@@ -306,12 +337,33 @@ def test_sigterm_removes_the_temporary_out_file(tmp_path):
                 break
             time.sleep(0.005)
         assert [p.name for p in tmp_path.iterdir()] == [f".fig3.csv.{proc.pid}.tmp"]
-        proc.send_signal(signal.SIGTERM)
+        proc.send_signal(signum)
         _, err = proc.communicate(timeout=60)
     finally:
         proc.kill()
-    assert (proc.returncode, err) == (143, b"")
+    assert (proc.returncode, err) == (expected, b"")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_an_ignored_sighup_stays_ignored_while_out_is_written(tmp_path):
+    # as under nohup: the hangup neither ends the run nor loses the output
+    target = tmp_path / "scan.csv"
+    argv = ["scan", "--range=-3:1:41", "--method", "ar-scan", "--out", str(target)]
+    proc = subprocess.Popen([sys.executable, "-m", "qsep", *argv],
+                            env=package_env(), stderr=subprocess.PIPE,
+                            preexec_fn=lambda: signal.signal(signal.SIGHUP, signal.SIG_IGN))
+    try:
+        for _ in range(6000):
+            if any(tmp_path.iterdir()) or proc.poll() is not None:
+                break
+            time.sleep(0.005)
+        assert proc.poll() is None  # the signal arrives while the rows are written
+        proc.send_signal(signal.SIGHUP)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (0, b"")
+    assert len(target.read_text(encoding="utf-8").splitlines()) == 41**3 + 1
 
 
 def test_out_flag_writes_identical_bytes(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Structure checks over the package sources: no private helper crosses a
-module boundary, and only ``states`` calls ``is_physical``."""
+module boundary, only ``states`` calls ``is_physical``, and only
+``separability`` names the default verdict bands."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,16 @@ def test_only_states_calls_is_physical():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "is_physical"
     )
     assert callers == ["states.py"]
+
+
+def test_only_separability_names_the_default_bands():
+    bands = {"BOUNDARY_TOL_ANALYTIC", "BOUNDARY_TOL_SCAN"}
+    namers = {
+        name
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in bands)
+        or (isinstance(node, ast.Attribute) and node.attr in bands)
+        or (isinstance(node, ast.alias) and node.name in bands)
+    }
+    assert namers == {"separability.py"}

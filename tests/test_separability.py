@@ -29,8 +29,10 @@ from qsep.entropy import bell_log_pairs, entropy_kernel
 from qsep.separability import (
     BOUNDARY_TOL_ANALYTIC,
     BOUNDARY_TOL_SCAN,
+    DEFAULT_BOUNDARY_TOL,
     MAX_GRID_CELLS,
     Classification,
+    boundary_tol_for,
     grid_axes,
     grid_points,
     log_grid,
@@ -335,6 +337,13 @@ def test_threshold_input_validation():
         threshold_x(2.0, "bogus")
     with pytest.raises(ValueError):
         threshold_x(2.0, (0.0, 0.0, 0.0))
+    for direction in ((math.inf, 0.0, 0.0), (math.nan, 0.0, 0.0), (1.0, -math.inf, 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            threshold_x(2.0, direction)
+    # 1/v overflows: the physical boundary lies beyond the largest float
+    for direction in ((5e-324, 0.0, 0.0), (1e-310, 1e-310, 1e-310), (-1e-310, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="too short"):
+            threshold_x(2.0, direction)
     for tol in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="tol"):
             threshold_x(2.0, "diag", tol)
@@ -463,6 +472,28 @@ def test_region_scan_rejects_a_bad_band_on_any_grid(boundary_tol):
     for spec in ((1.2, 1.2, 1), (-3.0, 1.0, 3)):
         with pytest.raises(ValueError, match="boundary_tol"):
             region_scan(spec, spec, spec, boundary_tol=boundary_tol)
+
+
+def test_region_scan_rejects_an_unknown_method_on_any_grid():
+    for spec in ((1.2, 1.2, 1), (-3.0, 1.0, 3)):
+        with pytest.raises(ValueError, match="unknown classification method"):
+            region_scan(spec, spec, spec, method="bogus")
+
+
+def test_boundary_tol_for_resolves_each_method_once():
+    assert DEFAULT_BOUNDARY_TOL == {"ppt": BOUNDARY_TOL_ANALYTIC,
+                                    "ar-asymptotic": BOUNDARY_TOL_ANALYTIC,
+                                    "ar-scan": BOUNDARY_TOL_SCAN}
+    for method, default in DEFAULT_BOUNDARY_TOL.items():
+        assert boundary_tol_for(method) == default
+        assert boundary_tol_for(method, 0.0) == 0.0
+        assert boundary_tol_for(method, 0.25) == 0.25
+        for tol in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="boundary_tol"):
+                boundary_tol_for(method, tol)
+    for tol in (None, 1e-3, -1.0):
+        with pytest.raises(ValueError, match="unknown classification method"):
+            boundary_tol_for("majorization", tol)
 
 
 def test_region_scan_methods_agree_off_boundary():

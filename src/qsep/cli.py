@@ -376,10 +376,17 @@ def _figure_fig2() -> Iterable[str]:
 
 def _figure_fig3() -> Iterable[str]:
     spec = (-3.0, 1.0, 41)
+    rows = {}
+
+    def evaluate(s):
+        # one search per Bell-weight multiset: see criticality.eta_field
+        key = tuple(sorted(bell_weights(s)))
+        if key not in rows:
+            rows[key] = (ar_classify_asymptotic(s).verdict, order_parameter(s).eta)
+        return rows[key]
+
     return _grid_document(
-        ["x", "y", "z", "physical", "verdict", "eta"], grid_axes(spec, spec, spec),
-        lambda s: (ar_classify_asymptotic(s).verdict, order_parameter(s).eta),
-    )
+        ["x", "y", "z", "physical", "verdict", "eta"], grid_axes(spec, spec, spec), evaluate)
 
 
 def _cmd_figure(args) -> Iterable[str]:

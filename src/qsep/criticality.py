@@ -37,6 +37,15 @@ the computed S''. That is far inside ``refine_tol``, which is still
 validated and remains the error bound the search promises. States with
 S'' = 0 throughout, a root below Q_FLOOR, or S'' overflowing at the end of
 the interval report no inflexion.
+
+The report depends on a state only through the multiset of its four Bell
+weights, bit for bit: the physicality test takes their ``min`` and the
+vertex test their ``max``, ``bell_log_pairs`` maps each weight on its own,
+and ``entropy_kernel`` sums its terms with the correctly rounded
+``math.fsum``, whose result does not depend on their order. Every state
+with the same sorted weights therefore gets the same bracket, the same S''
+values and the same Newton path. ``eta_field`` uses this to run one search
+per distinct multiset of a grid.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .entropy import bell_log_pairs, entropy_kernel
-from .states import BellDiagonalState, physical_weights
+from .states import BellDiagonalState, bell_weights, physical_weights
 from .separability import AxisSpec, check_tolerance, grid_axes, log_grid, physical_cells
 
 Q_FLOOR = 1e-3
@@ -151,7 +160,9 @@ def order_parameter(s: BellDiagonalState, q_max: float = Q_MAX_DEFAULT,
     """Full inflexion report with eta = 1/(1 + q_I), or eta = 0 if absent.
 
     The four Bell vertices short-circuit to eta = 1 (the limit value along
-    any ray into the vertex), reported with ``vertex=True``.
+    any ray into the vertex), reported with ``vertex=True``. Two states
+    whose sorted Bell weights are equal floats get equal reports (see the
+    module docstring).
     """
     if not (math.isfinite(q_max) and q_max > Q_FLOOR):
         raise ValueError(f"q_max must be finite and above {Q_FLOOR}, got {q_max!r}")
@@ -164,7 +175,19 @@ def order_parameter(s: BellDiagonalState, q_max: float = Q_MAX_DEFAULT,
 
 def eta_field(x_spec: AxisSpec, y_spec: AxisSpec, z_spec: AxisSpec,
               q_max: float = Q_MAX_DEFAULT) -> tuple[tuple[float, float, float, float], ...]:
-    """Order parameter over the physical cells of a grid, x-major order."""
-    return tuple((x, y, z, order_parameter(s, q_max=q_max).eta)
-                 for x, y, z, s in physical_cells(grid_axes(x_spec, y_spec, z_spec))
-                 if s is not None)
+    """Order parameter over the physical cells of a grid, x-major order.
+
+    eta depends on a state only through the multiset of its Bell weights
+    (see ``order_parameter``), so the grid runs one search per distinct
+    multiset: a cell whose sorted weights equal an earlier cell's reuses
+    that cell's eta, which is the same float.
+    """
+    etas = {}
+    rows = []
+    for x, y, z, s in physical_cells(grid_axes(x_spec, y_spec, z_spec)):
+        if s is not None:
+            key = tuple(sorted(bell_weights(s)))
+            if key not in etas:
+                etas[key] = order_parameter(s, q_max=q_max).eta
+            rows.append((x, y, z, etas[key]))
+    return tuple(rows)

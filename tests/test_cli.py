@@ -30,7 +30,15 @@ except ModuleNotFoundError:  # Python 3.10: pytest itself depends on tomli
 import qsep
 import qsep.cli
 import qsep.separability
-from qsep import BellDiagonalState, NumericalError, is_physical, region_scan, threshold_x
+from qsep import (
+    BellDiagonalState,
+    NumericalError,
+    ar_classify_asymptotic,
+    is_physical,
+    order_parameter,
+    region_scan,
+    threshold_x,
+)
 from qsep.cli import _csv_document, main
 from test_entropy import lowest_curve, uppermost_curve
 
@@ -526,6 +534,20 @@ def test_figure_fig3_geometry(tmp_path, capsys):
             assert eta == 0.0
         else:
             assert eta > 0.0
+
+
+def test_figure_fig3_rows_equal_a_fresh_evaluation_of_each_cell(capsys):
+    # fig3 evaluates each Bell-weight multiset once; every other row with
+    # that multiset must still hold the very fields its own state gives
+    code, out, _ = run_cli(capsys, "figure", "fig3")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    physical = [r for r in rows if r[3] == "1"]
+    assert len(physical) == 12_341
+    for x, y, z, _, verdict, eta in physical:
+        s = BellDiagonalState(float(x), float(y), float(z))
+        assert verdict == ar_classify_asymptotic(s).verdict
+        assert eta == format(order_parameter(s).eta, ".17g")
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,18 @@ def test_weight_permutation_symmetry_is_bit_exact():
             assert entropy_kernel(bell_log_pairs(perm), q) == reference
 
 
+@settings(derandomize=True, deadline=None)
+@given(helpers.tetrahedron_states(), st.sampled_from((0, 2, 3)),
+       st.floats(1e-3, 1e3) | st.sampled_from((1.0 - 1e-9, 1.0, 1.0 + 1e-9)))
+def test_kernel_is_bit_exact_under_any_permutation_of_its_pairs(s, n, q):
+    # math.fsum is correctly rounded, so the order of the terms cannot move
+    # the sum: the premise of one inflexion search per weight multiset
+    pairs = bell_log_pairs(bell_weights(s))
+    reference = entropy_kernel(pairs, q, n)
+    for perm in itertools.permutations(pairs):
+        assert entropy_kernel(perm, q, n) == reference
+
+
 def test_state_symmetry_images_agree():
     s = BellDiagonalState(0.3, -0.2, 0.6)
     images = [

@@ -31,7 +31,6 @@ import signal
 import stat
 import sys
 from collections.abc import Iterable
-from itertools import islice
 
 from .criticality import Q_MAX_DEFAULT, REFINE_TOL_DEFAULT, order_parameter
 from .entropy import bell_log_pairs, conditional_entropy_bell, entropy_kernel, tsallis_entropy
@@ -44,10 +43,10 @@ from .separability import (
     boundary_tol_for,
     classify_state,
     grid_axes,
-    physical_cells,
+    physical_runs,
     threshold_x,
 )
-from .states import BellDiagonalState, bell_weights, physical_weights
+from .states import BellDiagonalState, bell_weights, physical_weights, xyz_weights
 
 FORMAT_VERSION = "qsep/1"
 
@@ -293,27 +292,32 @@ def _cmd_qinflex(args) -> Iterable[str]:
 
 def _grid_document(header: list[str], axes, evaluate) -> Iterable[str]:
     """CSV chunks of every cell of the grid ``axes`` (``grid_axes`` output),
-    in ``physical_cells`` order: the header line, then one chunk per x plane.
-    A row holds x, y, z, physical, then the fields ``evaluate`` returns for a
-    physical cell, left empty for the others.
+    x-major: the header line, then one chunk per x plane. A row holds x, y,
+    z, physical, then the result fields of a physical cell, left empty for
+    the others. ``evaluate(x, y, z)`` is called for the physical cells only,
+    in row order, and returns their result fields as CSV text.
 
     Each axis point is formatted once and looked up by position: a cache
     keyed on the float would print -0.0 wherever 0.0 came first, as
-    0.0 == -0.0.
+    0.0 == -0.0. The text after x and y of a non-physical row depends on z
+    alone, so it is made once per z point, and a line's non-physical runs
+    (see ``physical_runs``) are written by joining those texts.
     """
     xs, ys, zs = ([_csv_field(v) for v in axis] for axis in axes)
-    cells = physical_cells(axes)
-    unphysical = ",0" + "," * (len(header) - 4) + "\n"
+    z_points = axes[2]
+    tails = [f"{z},0{',' * (len(header) - 4)}\n" for z in zs]
+    runs = physical_runs(axes)
     yield ",".join(header) + "\n"
     for fx in xs:
         plane = []
-        for i, (_, _, _, s) in enumerate(islice(cells, len(ys) * len(zs))):
-            j, k = divmod(i, len(zs))
-            if s is None:
-                plane.append(f"{fx},{ys[j]},{zs[k]}{unphysical}")
-            else:
-                fields = ",".join(map(_csv_field, evaluate(s)))
-                plane.append(f"{fx},{ys[j]},{zs[k]},1,{fields}\n")
+        for fy, (x, y, lo, hi) in zip(ys, runs):
+            prefix = f"{fx},{fy},"
+            if lo > 0:
+                plane.append(prefix + prefix.join(tails[:lo]))
+            for k in range(lo, hi):
+                plane.append(f"{prefix}{zs[k]},1,{evaluate(x, y, z_points[k])}\n")
+            if hi < len(zs):
+                plane.append(prefix + prefix.join(tails[hi:]))
         yield "".join(plane)
 
 
@@ -324,9 +328,9 @@ def _cmd_scan(args) -> Iterable[str]:
              for spec in (args.xrange, args.yrange, args.zrange)]
     tol = boundary_tol_for(args.method, args.boundary_tol)
 
-    def classify(s):
-        c = classify_state(s, args.method, tol)
-        return c.verdict, c.criterion, c.witness, c.witness_q
+    def classify(x, y, z):
+        c = classify_state(BellDiagonalState(x, y, z), args.method, tol)
+        return ",".join(map(_csv_field, (c.verdict, c.criterion, c.witness, c.witness_q)))
 
     header = ["x", "y", "z", "physical", "verdict", "criterion", "witness", "witness_q"]
     return _grid_document(header, grid_axes(*specs), classify)
@@ -378,12 +382,15 @@ def _figure_fig3() -> Iterable[str]:
     spec = (-3.0, 1.0, 41)
     rows = {}
 
-    def evaluate(s):
+    def evaluate(x, y, z):
         # one search per Bell-weight multiset: see criticality.eta_field
-        key = tuple(sorted(bell_weights(s)))
-        if key not in rows:
-            rows[key] = (ar_classify_asymptotic(s).verdict, order_parameter(s).eta)
-        return rows[key]
+        key = tuple(sorted(xyz_weights(x, y, z)))
+        row = rows.get(key)
+        if row is None:
+            s = BellDiagonalState(x, y, z)
+            verdict, eta = ar_classify_asymptotic(s).verdict, order_parameter(s).eta
+            row = rows[key] = f"{verdict},{_csv_field(eta)}"
+        return row
 
     return _grid_document(
         ["x", "y", "z", "physical", "verdict", "eta"], grid_axes(spec, spec, spec), evaluate)

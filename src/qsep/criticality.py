@@ -55,8 +55,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .entropy import bell_log_pairs, entropy_kernel
-from .states import BellDiagonalState, bell_weights, physical_weights
-from .separability import AxisSpec, check_tolerance, grid_axes, log_grid, physical_cells
+from .states import BellDiagonalState, physical_weights, xyz_weights
+from .separability import AxisSpec, check_tolerance, grid_axes, log_grid, physical_runs
 
 Q_FLOOR = 1e-3
 Q_MAX_DEFAULT = 200.0
@@ -182,12 +182,13 @@ def eta_field(x_spec: AxisSpec, y_spec: AxisSpec, z_spec: AxisSpec,
     multiset: a cell whose sorted weights equal an earlier cell's reuses
     that cell's eta, which is the same float.
     """
+    axes = grid_axes(x_spec, y_spec, z_spec)
     etas = {}
     rows = []
-    for x, y, z, s in physical_cells(grid_axes(x_spec, y_spec, z_spec)):
-        if s is not None:
-            key = tuple(sorted(bell_weights(s)))
+    for x, y, lo, hi in physical_runs(axes):
+        for z in axes[2][lo:hi]:
+            key = tuple(sorted(xyz_weights(x, y, z)))
             if key not in etas:
-                etas[key] = order_parameter(s, q_max=q_max).eta
+                etas[key] = order_parameter(BellDiagonalState(x, y, z), q_max=q_max).eta
             rows.append((x, y, z, etas[key]))
     return tuple(rows)

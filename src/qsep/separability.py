@@ -21,9 +21,9 @@ default verdict band, and ``boundary_tol_for`` resolves and checks both.
 nonnegative conditional entropy at fixed q, and ``region_scan`` sweeps a
 Cartesian grid with a chosen classifier. ``bisect`` is the one bisection
 the package uses; ``grid_axes`` makes the points of every grid, capped at
-MAX_GRID_CELLS cells, and ``physical_cells`` is the one grid enumeration:
-it walks their x-major product and hands each physical cell's state to the
-caller, which evaluates it.
+MAX_GRID_CELLS cells, and ``physical_runs`` is the one grid enumeration: it
+walks their (x, y) lines x-major and gives each line's physical cells as one
+run of z indices, so a caller spends work only on the cells it evaluates.
 """
 
 from __future__ import annotations
@@ -353,17 +353,32 @@ def grid_axes(x_spec: AxisSpec, y_spec: AxisSpec,
     return grid_points(x_spec, "x"), grid_points(y_spec, "y"), grid_points(z_spec, "z")
 
 
-def physical_cells(axes):
-    """Yield (x, y, z, state) for each cell of the product of ``grid_axes``
-    output, x-major: x outermost, z fastest.
+def physical_runs(axes):
+    """Yield (x, y, lo, hi) for each (x, y) line of ``grid_axes`` output,
+    x-major: x outermost, then y. The cells (x, y, z) of the line whose
+    weights pass ``nonnegative_weights`` are exactly those with z in
+    ``zs[lo:hi]``, and lo <= hi.
 
-    state is the cell's BellDiagonalState when its weights pass
-    ``nonnegative_weights``, the test ``physical_weights`` makes, and None
-    otherwise.
+    They form one run because the axes ascend and, along a line,
+    * the psi+ weight (1 - z)/4 falls as z rises,
+    * the psi- weight (1 + x + y + z)/4 rises as z rises,
+    * the phi+ and phi- weights depend on x and y only.
+    So hi, the end of the psi+ prefix, is found once per grid, and lo, the
+    start of the psi- suffix, once per line, each by bisection; a line whose
+    phi weights fail is empty. Every test is ``nonnegative_weights`` on the
+    entries of ``xyz_weights`` it concerns, so the result is the per-cell
+    test's, bit for bit.
     """
-    for x, y, z in product(*axes):
-        physical = nonnegative_weights(xyz_weights(x, y, z))
-        yield x, y, z, (BellDiagonalState(x, y, z) if physical else None)
+    xs, ys, zs = axes
+    # the psi+ weight does not depend on x or y
+    hi = bisect_left(zs, True, key=lambda z: not nonnegative_weights(xyz_weights(0.0, 0.0, z)[2:3]))
+    for x, y in product(xs, ys):
+        if not nonnegative_weights(xyz_weights(x, y, zs[0])[:2]):
+            yield x, y, hi, hi
+            continue
+        lo = bisect_left(zs, True, hi=hi,
+                         key=lambda z: nonnegative_weights(xyz_weights(x, y, z)[3:]))
+        yield x, y, lo, hi
 
 
 def classify_state(s: BellDiagonalState, method: str,
@@ -389,9 +404,9 @@ def region_scan(x_spec: AxisSpec, y_spec: AxisSpec, z_spec: AxisSpec,
     """
     tol = boundary_tol_for(method, boundary_tol)
     xs, ys, zs = axes = grid_axes(x_spec, y_spec, z_spec)
-    cells = tuple(
-        GridCell(x, y, z, False, None) if s is None
-        else GridCell(x, y, z, True, classify_state(s, method, tol))
-        for x, y, z, s in physical_cells(axes)
-    )
-    return RegionGrid(xs=xs, ys=ys, zs=zs, cells=cells)
+    cells = []
+    for x, y, lo, hi in physical_runs(axes):
+        for k, z in enumerate(zs):
+            c = classify_state(BellDiagonalState(x, y, z), method, tol) if lo <= k < hi else None
+            cells.append(GridCell(x, y, z, c is not None, c))
+    return RegionGrid(xs=xs, ys=ys, zs=zs, cells=tuple(cells))

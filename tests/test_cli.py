@@ -10,6 +10,7 @@ no ``qsep`` distribution is installed.
 import csv
 import importlib.metadata
 import inspect
+import itertools
 import json
 import math
 import os
@@ -34,12 +35,14 @@ from qsep import (
     BellDiagonalState,
     NumericalError,
     ar_classify_asymptotic,
+    classify_state,
     is_physical,
     order_parameter,
     region_scan,
     threshold_x,
 )
 from qsep.cli import _csv_document, main
+from qsep.separability import grid_axes
 from test_entropy import lowest_curve, uppermost_curve
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
@@ -583,21 +586,46 @@ def test_scan_outside_the_tetrahedron_classifies_nothing(capsys):
     assert all(r[3] == "0" and r[4] == "" for r in rows)
 
 
-@pytest.mark.parametrize("method", ["ppt", "ar-asymptotic", "ar-scan"])
-def test_scan_rows_are_the_region_scan_cells(capsys, method):
-    # -1:1:3 holds non-physical cells such as (-1, -1, -1) and the state
-    # (-1, -1, 1), whose weights are (1/2, 1/2, 0, 0)
-    spec = (-1.0, 1.0, 3)
-    code, out, _ = run_cli(capsys, "scan", "--range=-1:1:3", "--method", method)
+# (ranges, specs, rows the output must hold). -1:1:3 holds non-physical
+# cells such as (-1, -1, -1) and the state (-1, -1, 1), whose weights are
+# (1/2, 1/2, 0, 0). The second grid has a line that is non-physical because
+# x > 1, a line with no physical z, and a run that ends at a physical -0.
+SCAN_GRIDS = {
+    "": (("--range=-1:1:3",), ((-1.0, 1.0, 3),) * 3,
+         ("\n-1,-1,1,1,", "\n-1,-1,-1,0,,,,\n")),
+    "-edge": (("--xrange=-0.8:1.25:3", "--yrange=-0.8:-0.8:1", "--zrange=-3:-0:3"),
+              ((-0.8, 1.25, 3), (-0.8, -0.8, 1), (-3.0, -0.0, 3)),
+              ("\n-0.80000000000000004,-0.80000000000000004,-0,0,,,,\n",
+               "\n0.22499999999999987,-0.80000000000000004,-0,1,",
+               "\n1.25,-0.80000000000000004,-0,0,,,,\n")),
+}
+
+
+@pytest.mark.parametrize("method, grid", [
+    pytest.param(method, grid, id=method + grid)
+    for grid in SCAN_GRIDS for method in ("ppt", "ar-asymptotic", "ar-scan")
+])
+def test_scan_rows_are_the_region_scan_cells(capsys, method, grid):
+    ranges, specs, expected_rows = SCAN_GRIDS[grid]
+    code, out, _ = run_cli(capsys, "scan", *ranges, "--method", method)
     assert code == 0
+    # cell by cell, from is_physical and classify_state: region_scan and
+    # the CLI share the grid enumeration, so neither is the oracle here
     rows = []
-    for cell in region_scan(spec, spec, spec, method=method).cells:
-        c = cell.classification
+    for x, y, z in itertools.product(*grid_axes(*specs)):
+        s = BellDiagonalState(x, y, z)
+        c = classify_state(s, method) if is_physical(s) else None
         fields = (None,) * 4 if c is None else (c.verdict, c.criterion, c.witness, c.witness_q)
-        rows.append((cell.x, cell.y, cell.z, cell.physical, *fields))
+        rows.append((x, y, z, c is not None, *fields))
     header = ["x", "y", "z", "physical", "verdict", "criterion", "witness", "witness_q"]
     assert out == "".join(_csv_document(header, rows))
-    assert "\n-1,-1,1,1," in out and "\n-1,-1,-1,0,,,,\n" in out
+    assert all(row in out for row in expected_rows)
+    scanned = []
+    for cell in region_scan(*specs, method=method).cells:
+        c = cell.classification
+        fields = (None,) * 4 if c is None else (c.verdict, c.criterion, c.witness, c.witness_q)
+        scanned.append((cell.x, cell.y, cell.z, cell.physical, *fields))
+    assert scanned == rows
 
 
 def test_scan_above_the_cap_writes_nothing(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,6 @@
 """Structure checks over the package sources: no private helper crosses a
-module boundary, only ``states`` calls ``is_physical``, and only
-``separability`` names the default verdict bands."""
+module boundary, only ``states`` calls ``is_physical`` and names
+``WEIGHT_TOL``, and only ``separability`` names the default verdict bands."""
 
 import ast
 from pathlib import Path
@@ -36,6 +36,13 @@ def test_only_states_calls_is_physical():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "is_physical"
     )
     assert callers == ["states.py"]
+
+
+def test_only_states_names_weight_tol():
+    # the physicality rule is stated once, in states.nonnegative_weights:
+    # a grid enumeration must call it rather than restate the tolerance
+    namers = [path.name for path in SOURCES if "WEIGHT_TOL" in path.read_text(encoding="utf-8")]
+    assert namers == ["states.py"]
 
 
 def test_only_separability_names_the_default_bands():

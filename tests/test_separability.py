@@ -1,5 +1,6 @@
 """Unit tests for the classifiers, thresholds, and region scans."""
 
+import itertools
 import math
 
 import numpy as np
@@ -36,9 +37,9 @@ from qsep.separability import (
     grid_axes,
     grid_points,
     log_grid,
-    physical_cells,
+    physical_runs,
 )
-from qsep.states import WEIGHT_TOL, bell_weights, is_physical, xyz_weights
+from qsep.states import WEIGHT_TOL, bell_weights, is_physical, nonnegative_weights, xyz_weights
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
 
@@ -456,25 +457,54 @@ NEAR_WEIGHT_TOL = ([(t, 0.0, 0.0) for t in _ABOVE_ONE] + [(0.0, t, 0.0) for t in
                    + [(0.0, 0.0, t) for t in _ABOVE_ONE] + [(t, 0.0, 0.0) for t in _BELOW_MINUS_ONE])
 
 
-def _only_cell(x, y, z):
-    (cell,) = physical_cells(((x,), (y,), (z,)))
-    return cell
+def _only_run(x, y, z):
+    """The z indices physical_runs keeps on the 1-cell grid (x, y, z)."""
+    ((rx, ry, lo, hi),) = physical_runs(((x,), (y,), (z,)))
+    assert (rx, ry) == (x, y)
+    return list(range(lo, hi))
 
 
 @settings(derandomize=True, deadline=None)
 @given(st.floats(-3.5, 1.5), st.floats(-3.5, 1.5), st.floats(-3.5, 1.5))
-def test_physical_cells_agree_with_is_physical(x, y, z):
+def test_physical_runs_agree_with_is_physical(x, y, z):
     s = BellDiagonalState(x, y, z)
-    assert _only_cell(x, y, z) == (x, y, z, s if is_physical(s) else None)
+    assert _only_run(x, y, z) == ([0] if is_physical(s) else [])
 
 
-def test_physical_cells_agree_with_is_physical_at_the_tolerance():
+def test_physical_runs_agree_with_is_physical_at_the_tolerance():
     kept = set()
     for xyz in NEAR_WEIGHT_TOL:
         s = BellDiagonalState(*xyz)
-        assert _only_cell(*xyz) == (*xyz, s if is_physical(s) else None)
+        assert _only_run(*xyz) == ([0] if is_physical(s) else [])
         kept.add(bool(is_physical(s)))
     assert kept == {True, False}
+
+
+_AXIS_ENDS = st.one_of(st.floats(-3.5, 1.5),
+                       st.sampled_from(sorted({v for xyz in NEAR_WEIGHT_TOL for v in xyz})))
+
+
+@st.composite
+def axis_specs(draw):
+    """grid_axes specs with ends in [-3.5, 1.5], some of them at the
+    NEAR_WEIGHT_TOL coordinates, and 1 to 12 points."""
+    a, b = draw(_AXIS_ENDS), draw(_AXIS_ENDS)
+    return min(a, b), max(a, b), draw(st.integers(1, 12))
+
+
+@settings(derandomize=True, deadline=None)
+@given(axis_specs(), axis_specs(), axis_specs())
+@example((-0.8, 1.25, 3), (-0.8, -0.8, 1), (-3.0, -0.0, 3))
+@example((-3.0, 1.0, 9), (-3.0, 1.0, 9), (-3.0, 1.0, 9))
+def test_physical_runs_are_the_physical_cells_of_each_line(x_spec, y_spec, z_spec):
+    xs, ys, zs = axes = grid_axes(x_spec, y_spec, z_spec)
+    runs = list(physical_runs(axes))
+    assert [(x, y) for x, y, _, _ in runs] == list(itertools.product(xs, ys))
+    for x, y, lo, hi in runs:
+        assert lo <= hi
+        assert list(range(lo, hi)) == [
+            k for k, z in enumerate(zs) if nonnegative_weights(xyz_weights(x, y, z))
+        ]
 
 
 def test_region_scan_structure():

@@ -20,21 +20,22 @@ reports no inflexion. The second derivative is the exact one of
 
 is negative unless every L_k = ln(2 w_k) vanishes (two weights of 1/2, where
 S'' = 0 throughout). So S'' falls strictly in q and changes sign at most
-once, from + to -. The search first evaluates S'' at q_max, the top of a
-log-spaced grid of SEARCH_POINTS points. Unless S''(q_max) < 0, no grid
-point is concave, and that one evaluation reports no inflexion. Otherwise
-it binary-searches the rest of the grid for the first point where S'' < 0,
-reusing the value at q_max. Provided S'' is finite at both ends of the
-interval ending there and changes sign across it, the root inside is found
-by Newton steps q <- q - S''/S''', starting from the root of the secant
-across the interval. The sign of S'' at each iterate
-moves one end of the bracket in. A step that would leave the bracket, or a
-S''' that is not finite and negative, gives way to the bracket's midpoint.
-The iteration stops once a step moves q by at most 2 ulp, or once the
-midpoint rounds onto an end. Every iterate lies strictly inside the bracket
-it shrinks, so the search ends on every input, with q_I at the precision of
-the computed S''. That is far inside ``refine_tol``, which is still
-validated and remains the error bound the search promises. States with
+once, from + to -. The search rests on that fact but never evaluates S'''.
+It first evaluates S'' at q_max, the top of a log-spaced grid of
+SEARCH_POINTS points. Unless S''(q_max) < 0, no grid point is concave, and
+that one evaluation reports no inflexion. Otherwise it binary-searches the
+rest of the grid for the first point where S'' < 0, reusing the value at
+q_max. Provided S'' is finite at both ends of the interval ending there and
+changes sign across it, the root inside is found by secant steps on S''
+alone. The first iterate is the root of the secant across the interval, each
+later one the root of the secant through the last two points. The sign of
+S'' at each iterate moves one end of the bracket in. A step that would leave
+the bracket, or two equal values of S'', gives way to the bracket's
+midpoint. The iteration stops once a step moves q by at most 2 ulp, or once
+the midpoint rounds onto an end. Every iterate lies strictly inside the
+bracket it shrinks, so the search ends on every input, with q_I at the
+precision of the computed S''. That is far inside ``refine_tol``, which is
+still validated and remains the error bound the search promises. States with
 S'' = 0 throughout, a root below Q_FLOOR, or S'' overflowing at the end of
 the interval report no inflexion.
 
@@ -44,7 +45,7 @@ vertex test their ``max``, ``bell_log_pairs`` maps each weight on its own,
 and ``entropy_kernel`` sums its terms with the correctly rounded
 ``math.fsum``, whose result does not depend on their order. Every state
 with the same sorted weights therefore gets the same bracket, the same S''
-values and the same Newton path. ``eta_field`` uses this to run one search
+values and the same secant path. ``eta_field`` uses this to run one search
 per distinct multiset of a grid.
 """
 
@@ -85,10 +86,18 @@ class CriticalityReport:
     vertex: bool = False
 
 
-def _newton(pairs, lo: float, hi: float, a: float, b: float) -> float:
+def _check_q_max(q_max: float) -> None:
+    if not (math.isfinite(q_max) and q_max > Q_FLOOR):
+        raise ValueError(f"q_max must be finite and above {Q_FLOOR}, got {q_max!r}")
+
+
+def _secant(pairs, lo: float, hi: float, a: float, b: float) -> float:
     # Root of S'' inside (lo, hi), where S''(lo) = a > 0 > b = S''(hi). The
-    # first iterate is the secant's root; every iterate lies strictly inside
+    # first iterate is the root of the secant across the bracket, each later
+    # one the root of the secant through the last two points, hi counting as
+    # the point before the first iterate. Every iterate lies strictly inside
     # the bracket and moves one of its ends, so the loop ends.
+    q_prev, d2_prev = hi, b
     q = lo + (hi - lo) * (a / (a - b))
     if not lo < q < hi:
         q = 0.5 * (lo + hi)
@@ -100,15 +109,14 @@ def _newton(pairs, lo: float, hi: float, a: float, b: float) -> float:
             hi = q
         else:
             return q
-        d3 = entropy_kernel(pairs, q, 3)
-        if math.isfinite(d3) and d3 < 0.0:
-            step = d2 / d3
+        if d2 != d2_prev:
+            step = d2 * (q - q_prev) / (d2 - d2_prev)
             if abs(step) <= 2.0 * math.ulp(q):
                 return q - step
             if lo < q - step < hi:
-                q -= step
+                q_prev, d2_prev, q = q, d2, q - step
                 continue
-        q = 0.5 * (lo + hi)
+        q_prev, d2_prev, q = q, d2, 0.5 * (lo + hi)
         if q == lo or q == hi:
             return q
 
@@ -138,7 +146,7 @@ def _search(weights, q_max: float) -> CriticalityReport:
         lo, hi = grid[k - 1], grid[k]
         a, b = d2[lo], d2[hi]
         if math.isfinite(a) and math.isfinite(b) and a * b < 0.0:
-            q_inflexion = _newton(pairs, lo, hi, a, b)
+            q_inflexion = _secant(pairs, lo, hi, a, b)
             return CriticalityReport(q_inflexion, 1.0 / (1.0 + q_inflexion), (lo, hi), (a, b), ())
     return CriticalityReport(None, 0.0, None, None, ())
 
@@ -164,8 +172,7 @@ def order_parameter(s: BellDiagonalState, q_max: float = Q_MAX_DEFAULT,
     whose sorted Bell weights are equal floats get equal reports (see the
     module docstring).
     """
-    if not (math.isfinite(q_max) and q_max > Q_FLOOR):
-        raise ValueError(f"q_max must be finite and above {Q_FLOOR}, got {q_max!r}")
+    _check_q_max(q_max)
     check_tolerance(refine_tol, "refine_tol")
     weights = physical_weights(s)
     if max(weights) >= 1.0 - _VERTEX_TOL:
@@ -180,8 +187,10 @@ def eta_field(x_spec: AxisSpec, y_spec: AxisSpec, z_spec: AxisSpec,
     eta depends on a state only through the multiset of its Bell weights
     (see ``order_parameter``), so the grid runs one search per distinct
     multiset: a cell whose sorted weights equal an earlier cell's reuses
-    that cell's eta, which is the same float.
+    that cell's eta, which is the same float. q_max is checked before any
+    cell, so a bad one fails on every grid.
     """
+    _check_q_max(q_max)
     axes = grid_axes(x_spec, y_spec, z_spec)
     etas = {}
     rows = []

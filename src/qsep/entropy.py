@@ -16,8 +16,8 @@ there, with the closed form
 
     S_q(B|A) = (2 - sum_k (2 w_k)^q) / (2 (q - 1)).
 
-Every entropy of this module, and its second and third q-derivatives, is
-evaluated by one kernel over pairs (p_k, L_k) on the support. With u = q - 1,
+Every entropy of this module, and its second q-derivative, is evaluated by
+one kernel over pairs (p_k, L_k) on the support. With u = q - 1,
 
     S^(n)(q) = -sum_k p_k L_k^(n+1) phi_n(u L_k),  phi_n(x) = int_0^1 s^n e^(sx) ds,
 
@@ -26,11 +26,11 @@ conditional entropy of Bell weights w_k. The form is exact through q = 1,
 where phi_n(0) = 1/(n + 1), needs no finite differences, and stays finite
 where the power sums would overflow or underflow: since phi_n > 0, a
 divergent term saturates to an infinity of its own sign. Near x = 0, where
-the closed forms of phi_2 and phi_3,
+the closed form of phi_2,
 
-    phi_3(x) = e^x (1/x - 3/x^2 + 6/x^3 - 6/x^4) + 6/x^4,
+    phi_2(x) = e^x (1/x - 2/x^2 + 2/x^3) - 2/x^3,
 
-cancel, they are summed as Taylor series. The kernel has one loop per order
+cancels, it is summed as a Taylor series. The kernel has one loop per order
 n, which evaluates the series or closed form of phi_n inline for each term.
 """
 
@@ -49,9 +49,6 @@ _EXP_MAX = math.log(sys.float_info.max)
 # Taylor coefficients 1 / (n! (n + 3)) of phi_2, highest order first; through
 # x^15 they reach double precision for |x| < 1/2.
 _PHI2_SERIES = tuple(1.0 / (math.factorial(n) * (n + 3)) for n in range(15, -1, -1))
-# The same for phi_3, 1 / (n! (n + 4)): its closed form cancels further out,
-# so the series covers |x| < 1 and runs through x^20.
-_PHI3_SERIES = tuple(1.0 / (math.factorial(n) * (n + 4)) for n in range(20, -1, -1))
 
 
 def bell_log_pairs(weights: Sequence[float]) -> tuple[tuple[float, float], ...]:
@@ -64,16 +61,14 @@ def bell_log_pairs(weights: Sequence[float]) -> tuple[tuple[float, float], ...]:
 
 
 def entropy_kernel(pairs: Sequence[tuple[float, float]], q: float, n: int = 0) -> float:
-    """S^(n)(q) = -sum_k p_k L_k^(n+1) phi_n((q - 1) L_k), for n in {0, 2, 3}.
+    """S^(n)(q) = -sum_k p_k L_k^(n+1) phi_n((q - 1) L_k), for n in {0, 2}.
 
-    With pairs (p, ln p) this is the Tsallis entropy and its second and
-    third q-derivatives; with ``bell_log_pairs`` it is the conditional
-    entropy S_q(B|A) of a Bell-diagonal state. Since
-    phi_3(x) = int_0^1 s^3 e^(sx) ds is positive, the third derivative is
-    never positive. A divergent result is an infinity (for n = 0 and 2,
-    -inf for q > 1 and +inf for q < 1; for n = 3, -inf); nothing raises.
-    The terms are summed with math.fsum, so the result does not depend on
-    the order of the pairs.
+    With pairs (p, ln p) this is the Tsallis entropy and its second
+    q-derivative; with ``bell_log_pairs`` it is the conditional entropy
+    S_q(B|A) of a Bell-diagonal state. A divergent result is an infinity
+    (-inf for q > 1 and +inf for q < 1); nothing raises. The terms are
+    summed with math.fsum, so the result does not depend on the order of
+    the pairs.
     """
     u = q - 1.0
     terms = []
@@ -101,24 +96,8 @@ def entropy_kernel(pairs: Sequence[tuple[float, float]], q: float, n: int = 0) -
                 inv = 1.0 / x
                 phi = math.exp(x) * inv * (1.0 - 2.0 * inv + 2.0 * inv * inv) - 2.0 * inv * inv * inv
             terms.append(p * L * L * L * phi)
-    elif n == 3:
-        for p, L in pairs:
-            x = u * L
-            if -1.0 < x < 1.0:
-                # the closed form below cancels here
-                phi = 0.0
-                for c in _PHI3_SERIES:
-                    phi = phi * x + c
-            elif x > _EXP_MAX:
-                phi = math.inf
-            else:
-                inv = 1.0 / x
-                inv2 = inv * inv
-                phi = (math.exp(x) * inv * (1.0 - 3.0 * inv + 6.0 * inv2 - 6.0 * inv2 * inv)
-                       + 6.0 * inv2 * inv2)
-            terms.append(p * (L * L) * (L * L) * phi)
     else:
-        raise ValueError(f"derivative order must be 0, 2 or 3, got {n!r}")
+        raise ValueError(f"derivative order must be 0 or 2, got {n!r}")
     # 0.0 - sum rather than -sum: a zero entropy is +0.0, never -0.0
     return 0.0 - math.fsum(terms)
 

@@ -53,7 +53,10 @@ class Spectrum:
             raise ValueError("spectrum needs at least one eigenvalue")
         if any(not math.isfinite(v) for v in vals):
             raise ValueError("spectrum values must be finite")
-        total = math.fsum(vals)
+        try:
+            total = math.fsum(vals)
+        except OverflowError:  # finite values whose sum does not fit a float
+            total = math.inf
         looks_stochastic = abs(total - 1.0) <= STOCHASTIC_TOL and vals[-1] >= -STOCHASTIC_TOL
         if stochastic is None:
             stochastic = looks_stochastic

@@ -166,7 +166,8 @@ def ppt_classify(state: TwoQubitState | np.ndarray,
     pt = partial_transpose(state.matrix, on="B")
     spectrum = hermitian_eigenvalues(pt)
     min_eig = spectrum.values[-1]
-    return _banded_verdict(-min_eig, "ppt", boundary_tol)
+    # 0.0 - min_eig rather than -min_eig: a zero witness is +0.0, never -0.0
+    return _banded_verdict(0.0 - min_eig, "ppt", boundary_tol)
 
 
 def ar_residual(s: BellDiagonalState, q: float) -> float:

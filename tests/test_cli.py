@@ -248,6 +248,8 @@ def test_exit_code_domain_errors(capsys):
     # a non-finite direction is refused before the ray is walked
     (["threshold", "--q", "2", "--direction", "inf,0,0"], 3),
     (["threshold", "--q", "2", "--direction", "nan,0,0"], 3),
+    # finite weights whose sum overflows are not a probability spectrum
+    (["entropy", "--weights", "1e308,1e308,0,0", "--q", "2"], 3),
 ])
 def test_search_and_band_tolerances_exit_without_hanging(argv, expected):
     # Run in a subprocess with a timeout, so a bisection that stops
@@ -687,6 +689,15 @@ def test_scan_keeps_the_sign_of_a_zero_coordinate(capsys):
                            "--zrange=0:0:1")
     assert code == 0
     assert out.splitlines()[1].startswith("-0,0,0,1,")
+
+
+@pytest.mark.parametrize("method", ["ppt", "ar-asymptotic", "ar-scan"])
+def test_scan_prints_a_zero_witness_as_0(capsys, method):
+    # the witness at (1, 1, -1) is zero under every method, and +0.0
+    code, out, _ = run_cli(capsys, "scan", "--range=-1:1:3", "--method", method)
+    assert code == 0
+    row = next(line for line in out.splitlines() if line.startswith("1,1,-1,"))
+    assert row.startswith("1,1,-1,1,boundary,") and row.endswith(",0,")
 
 
 def test_scan_methods_and_axis_overrides(capsys):

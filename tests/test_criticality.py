@@ -30,10 +30,10 @@ from helpers import state_from_weights, tetrahedron_states
 
 # Inflexion locations frozen from an independent 60-digit-precision solver
 # (analytic second derivative, dense log grid, bisection to 1e-30) before the
-# production search was written. The search takes Newton steps on the exact
+# production search was written. The search takes secant steps on the exact
 # second derivative down to 2 ulp; its largest relative error over these
-# eight roots, in q_I and in eta, measured 1.3e-15 (werner(0.4)), which
-# GOLDEN_RTOL covers with a 75x margin.
+# eight roots, in q_I and in eta, measured 1.4e-15 (werner(0.4)), which
+# GOLDEN_RTOL covers with a 70x margin.
 GOLDEN_DIAGONAL = {
     0.4: 13.973792082953026,
     0.5: 6.0839769765829796,
@@ -123,16 +123,12 @@ def test_exact_kernel_matches_mpmath_through_q_equal_one():
                                                  if u != 0 else 1) for w in exact_weights)
 
         # at q = 1.95, (q - 1) ln(2 w) = -0.485 for w = 0.3: the edge of the
-        # series branch of phi_2. For w = 0.175 it is -0.997 at q = 1.95 and
-        # -1.050 at q = 2, the two sides of phi_3's series switch at |x| = 1;
-        # at q = 1e-3 it is +1.049.
+        # series branch of phi_2
         for q in (1e-3, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-6, 1.95, 2.0, 150.0):
             exact_s = float(s(mp.mpf(q)))
             exact_d2 = float(mp.diff(s, mp.mpf(q), 2))
-            exact_d3 = float(mp.diff(s, mp.mpf(q), 3))
             assert entropy_kernel(pairs, q) == pytest.approx(exact_s, rel=1e-12, abs=1e-14)
             assert entropy_kernel(pairs, q, 2) == pytest.approx(exact_d2, rel=1e-12, abs=1e-14)
-            assert entropy_kernel(pairs, q, 3) == pytest.approx(exact_d3, rel=1e-12, abs=1e-14)
 
 
 def test_search_parameters_are_validated():
@@ -187,15 +183,23 @@ def test_eta_field_matches_pointwise_evaluation():
         assert eta == order_parameter(BellDiagonalState(x, y, z)).eta
 
 
+@pytest.mark.parametrize("q_max", [Q_FLOOR, math.nan, math.inf, -1.0])
+def test_eta_field_rejects_a_bad_q_max_on_any_grid(q_max):
+    # (1.2, 1.2, 1.2) is not physical: no search runs, q_max is still checked
+    for spec in ((1.2, 1.2, 1), (-3.0, 1.0, 3)):
+        with pytest.raises(ValueError, match="q_max"):
+            eta_field(spec, spec, spec, q_max=q_max)
+
+
 # ---------------------------------------------------------------------------
-# the binary search and Newton steps against the linear scan they replaced
+# the binary search and secant steps against the linear scan they replaced
 
 
 def linear_scan_report(s: BellDiagonalState, q_max: float) -> CriticalityReport:
     """Reference: S'' at every grid point, every finite sign change listed,
     the first one bisected until the midpoint rounds onto an end (tol 1e-300).
     order_parameter ran this scan before it used S''' < 0 to binary-search
-    the grid and to take Newton steps inside the bracket."""
+    the grid and to take secant steps inside the bracket."""
     pairs = bell_log_pairs(bell_weights(s))
     grid = log_grid(Q_FLOOR, q_max, SEARCH_POINTS)
     d2 = [entropy_kernel(pairs, q, 2) for q in grid]
@@ -212,9 +216,9 @@ def linear_scan_report(s: BellDiagonalState, q_max: float) -> CriticalityReport:
 
 
 SEARCH_Q_MAX = (5.0, Q_MAX_DEFAULT, 1e4)
-# Newton's root and the bisected one both sit within a few ulp of the sign
-# change of the computed S''; the largest gap measured on fig3's cells at
-# q_max 200 and 1e4 is 3.7e-15 relative (2.2e-15 in eta).
+# The secant's root and the bisected one both sit within a few ulp of the
+# sign change of the computed S''; the largest gap measured on fig3's cells
+# at q_max 200 and 1e4 is 5.0e-15 relative (3.0e-15 in eta).
 REFERENCE_RTOL = 1e-13
 
 
@@ -258,29 +262,53 @@ def test_second_derivative_is_non_increasing_on_the_search_grid(s):
     assert all(a >= b for a, b in zip(d2, d2[1:]))
 
 
-def counted_kernel_orders(patch) -> list[int]:
-    """Patch the search's kernel to record the order n of every call."""
-    orders = []
+def recorded_kernel_calls(patch) -> list[tuple[float, int]]:
+    """Patch the search's kernel to record the (q, n) of every call."""
+    calls = []
     kernel = qsep.criticality.entropy_kernel
 
-    def counting(pairs, q, n=0):
-        orders.append(n)
+    def recording(pairs, q, n=0):
+        calls.append((q, n))
         return kernel(pairs, q, n)
 
-    patch.setattr(qsep.criticality, "entropy_kernel", counting)
-    return orders
+    patch.setattr(qsep.criticality, "entropy_kernel", recording)
+    return calls
 
 
-@pytest.mark.parametrize("t, most", [(0.2, 1), (0.6, 24)])
+@pytest.mark.parametrize("t, most", [(0.2, 1), (0.6, 14)])
 def test_search_evaluates_few_second_derivatives(monkeypatch, t, most):
     # a scan of every grid point makes SEARCH_POINTS = 240 evaluations, and
     # bisecting the bracket to 1e-8 took 35 in all for werner(0.6); the
     # separable werner(0.2) is settled by S'' at the top of the grid alone
-    orders = counted_kernel_orders(monkeypatch)
-    report = order_parameter(werner(t))
-    assert set(orders) <= {2, 3}
-    assert (3 in orders) == (report.q_inflexion is not None)
-    assert 0 < len(orders) <= most
+    calls = recorded_kernel_calls(monkeypatch)
+    order_parameter(werner(t))
+    assert {n for _, n in calls} == {2}
+    assert len(calls) <= most
+
+
+@settings(derandomize=True, deadline=None)
+@given(tetrahedron_states(), st.sampled_from(SEARCH_Q_MAX))
+@example(werner(0.6), Q_MAX_DEFAULT)
+# two states near the critical surface, and the slowest refinement seen in
+# 15,000 random states at q_max 5, 200, 1e4 and 1e7: 12 secant steps, 21
+# calls in all
+@example(state_from_weights((1e-5 / 3, 0.2, 0.3 - 1e-5 * 2 / 3, 0.5 + 1e-5)), 1e7)
+@example(state_from_weights((0.49 / 3, 0.49 / 3, 0.49 / 3, 0.51)), 1e7)
+@example(BellDiagonalState(-1.1542561297373144, -0.8239008383872168, 0.9984824265628943), 1e7)
+def test_search_makes_at_most_21_second_derivative_evaluations(s, q_max):
+    # 1 at the top of the grid, at most 8 in the binary search over the
+    # other 239 points (2^8 > 239) and at most 12 in the secant refinement,
+    # whose iterates lie strictly between two grid points
+    assume(max(bell_weights(s)) < 1.0 - 1e-12)  # vertices short-circuit
+    with pytest.MonkeyPatch.context() as patch:
+        calls = recorded_kernel_calls(patch)
+        order_parameter(s, q_max=q_max)
+    grid = set(log_grid(Q_FLOOR, q_max, SEARCH_POINTS))
+    assert {n for _, n in calls} == {2}
+    assert calls[0][0] == q_max
+    binary = sum(q in grid for q, _ in calls[1:])
+    assert binary <= 8
+    assert len(calls) - 1 - binary <= 12
 
 
 @settings(derandomize=True, deadline=None)
@@ -292,21 +320,21 @@ def test_a_state_convex_at_q_max_costs_one_evaluation(s, q_max):
     assume(max(bell_weights(s)) < 1.0 - 1e-12)  # vertices short-circuit
     assume(entropy_kernel(bell_log_pairs(bell_weights(s)), q_max, 2) >= 0.0)
     with pytest.MonkeyPatch.context() as patch:
-        orders = counted_kernel_orders(patch)
+        calls = recorded_kernel_calls(patch)
         report = order_parameter(s, q_max=q_max)
-    assert orders == [2]
+    assert calls == [(q_max, 2)]
     assert report == CriticalityReport(None, 0.0, None, None, ())
 
 
 def test_search_cost_on_the_21_point_grid(monkeypatch):
     # 1,771 physical cells, 880 of them with a root below q_max. A search in
-    # every cell makes 12,503 S'' and 3,674 S''' evaluations here. The cells
-    # hold 346 distinct weight multisets, and eta_field searches each once.
-    orders = counted_kernel_orders(monkeypatch)
+    # every cell makes 13,197 S'' evaluations here. The cells hold 346
+    # distinct weight multisets, and eta_field searches each once.
+    calls = recorded_kernel_calls(monkeypatch)
     spec = (-3.0, 1.0, 21)
     eta_field(spec, spec, spec)
-    assert orders.count(2) <= 2_402
-    assert orders.count(3) <= 700
+    assert {n for _, n in calls} == {2}
+    assert len(calls) <= 2_533
 
 
 @settings(derandomize=True, deadline=None)
@@ -331,15 +359,8 @@ def test_report_depends_only_on_the_weight_multiset(s, q_max):
 @example(werner(0.6))
 def test_search_evaluates_no_point_twice(s):
     # the binary search has already evaluated S'' at both ends of the bracket
-    calls = []
-    kernel = qsep.criticality.entropy_kernel
-
-    def recording(pairs, q, n=0):
-        calls.append((q, n))
-        return kernel(pairs, q, n)
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(qsep.criticality, "entropy_kernel", recording)
+        calls = recorded_kernel_calls(patch)
         order_parameter(s)
     assert len(set(calls)) == len(calls)
 

@@ -137,6 +137,8 @@ def test_spectrum_sorts_descending_and_detects_stochastic():
     assert not Spectrum.from_values([0.5, 0.2]).stochastic
     # sums to one but has a genuinely negative entry: not a probability vector
     assert not Spectrum.from_values([0.6, 0.5, -0.1]).stochastic
+    # finite values whose sum overflows
+    assert not Spectrum.from_values([1e308, 1e308, 0.0, 0.0]).stochastic
 
 
 def test_spectrum_rejects_bad_explicit_stochastic_flag():
@@ -144,6 +146,8 @@ def test_spectrum_rejects_bad_explicit_stochastic_flag():
         Spectrum.from_values([0.5, 0.5, 0.5, 0.5], stochastic=True)
     with pytest.raises(ValueError, match="not a probability spectrum"):
         Spectrum.from_values([0.6, 0.5, -0.1], stochastic=True)
+    with pytest.raises(ValueError, match="not a probability spectrum"):
+        Spectrum.from_values([1e308, 1e308, 0.0, 0.0], stochastic=True)
 
 
 def test_spectrum_rejects_empty_and_non_finite():

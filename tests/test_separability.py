@@ -86,6 +86,15 @@ def test_ppt_witness_equals_max_weight_margin(rng):
         assert via_ppt == pytest.approx(via_weights, abs=1e-12)
 
 
+@pytest.mark.parametrize("method", ["ppt", "ar-asymptotic", "ar-scan"])
+def test_a_zero_witness_is_positive_zero(method):
+    # (1, 1, -1) has Bell weights (0, 0, 1/2, 1/2): every criterion's margin
+    # is zero, and each method reports it as +0.0, never -0.0
+    witness = classify_state(BellDiagonalState(1.0, 1.0, -1.0), method).witness
+    assert witness == 0.0
+    assert math.copysign(1.0, witness) == 1.0
+
+
 def test_residual_closed_forms():
     for t in (0.2, 0.5, 0.8):
         diag = ar_residual(BellDiagonalState(t, t, t), 2.0)

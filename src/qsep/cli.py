@@ -35,7 +35,7 @@ from collections.abc import Iterable
 from .criticality import Q_MAX_DEFAULT, REFINE_TOL_DEFAULT, order_parameter
 from .entropy import bell_log_pairs, conditional_entropy_bell, entropy_kernel, tsallis_entropy
 from .errors import NumericalError
-from .linalg import EPS_SUPPORT, Spectrum
+from .linalg import Spectrum
 from .separability import (
     DEFAULT_BOUNDARY_TOL,
     NAMED_DIRECTIONS,
@@ -369,7 +369,7 @@ def _figure_fig2() -> Iterable[str]:
     for label, s in curves:
         weights = bell_weights(s)
         pairs = bell_log_pairs(weights)
-        skip_zero = min(weights) <= EPS_SUPPORT  # rank deficient: 0^q is ambiguous at q = 0
+        skip_zero = len(pairs) < len(weights)  # rank deficient: 0^q is ambiguous at q = 0
         for k in range(1301):
             q = (k - 300) / 100.0
             if skip_zero and abs(q) <= 1e-6:

@@ -187,24 +187,26 @@ def hermitian_eigenvalues(m: np.ndarray) -> Spectrum:
     """Eigenvalues of a Hermitian 2x2 or 4x4 matrix, descending.
 
     Inputs may deviate from exact Hermiticity by at most HERMITICITY_TOL in
-    any entry; the matrix is symmetrised before solving. Probability spectra
-    (sum one, nonnegative) come back flagged stochastic.
+    any entry; the pass that checks this also symmetrises the matrix.
+    Probability spectra (sum one, nonnegative) come back flagged stochastic.
     """
     rows = _as_operator(m, (2, 4)).tolist()
     n = len(rows)
-    # the first entry, row-major, of the largest |m - m^H|
+    # |m - m^H| is symmetric: its first maximum, row-major, has i <= j. Each
+    # (m + m^H)/2 entry is its own sum; a mirror's conjugate may flip a zero
     amax, at = 0.0, (0, 0)
     for i in range(n):
-        for j in range(n):
-            d = abs(rows[i][j] - rows[j][i].conjugate())
+        for j in range(i, n):
+            mij, mji = rows[i][j], rows[j][i]
+            d = abs(mij - mji.conjugate())
             if d > amax:
                 amax, at = d, (i, j)
+            rows[i][j], rows[j][i] = (mij + mji.conjugate()) / 2.0, (mji + mij.conjugate()) / 2.0
     if amax > HERMITICITY_TOL:
         raise ValueError(
             f"matrix is not Hermitian: max |m - m^H| = {amax:.3e} at entry {at}"
         )
-    sym = [[(rows[i][j] + rows[j][i].conjugate()) / 2.0 for j in range(n)] for i in range(n)]
-    return Spectrum.from_values(_jacobi_eigenvalues(sym))
+    return Spectrum.from_values(_jacobi_eigenvalues(rows))
 
 
 def _pow(base: float, q: float) -> float:

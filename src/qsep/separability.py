@@ -327,12 +327,21 @@ AxisSpec = tuple[float, float, int]
 MAX_GRID_CELLS = 2**22
 
 
+def _axis_count(spec: AxisSpec, name: str) -> int:
+    # checked, never truncated: 2.9, inf, nan and "3" are not counts
+    count = spec[2]
+    whole = hasattr(count, "__index__") or isinstance(count, float) and count.is_integer()
+    if not whole or count < 1:
+        raise ValueError(f"{name} axis needs a whole number of points, at least one, "
+                         f"got {count!r}")
+    return int(count)
+
+
 def grid_points(spec: AxisSpec, name: str) -> tuple[float, ...]:
     """count evenly spaced points from lo to hi, both included, for spec =
-    (lo, hi, count); bit for bit the points of ``np.linspace(lo, hi, count)``."""
-    lo, hi, count = float(spec[0]), float(spec[1]), int(spec[2])
-    if count < 1:
-        raise ValueError(f"{name} axis needs at least one point")
+    (lo, hi, count); bit for bit the points of ``np.linspace(lo, hi, count)``.
+    count must be a whole number of at least 1 (an int, or an integral float)."""
+    lo, hi, count = float(spec[0]), float(spec[1]), _axis_count(spec, name)
     if not (-3.5 <= lo <= hi <= 1.5):
         raise ValueError(
             f"{name} axis range [{lo}, {hi}] must lie inside [-3.5, 1.5]"
@@ -345,8 +354,10 @@ def grid_points(spec: AxisSpec, name: str) -> tuple[float, ...]:
 def grid_axes(x_spec: AxisSpec, y_spec: AxisSpec,
               z_spec: AxisSpec) -> tuple[tuple[float, ...], ...]:
     """The x, y and z points of a Cartesian grid of at most MAX_GRID_CELLS
-    cells; a larger grid raises ValueError before any point is made."""
-    cells = math.prod(int(spec[2]) for spec in (x_spec, y_spec, z_spec))
+    cells; a larger grid, or a count that is not a whole number of at least
+    1, raises ValueError before any point is made."""
+    cells = math.prod(_axis_count(spec, name) for spec, name in
+                      ((x_spec, "x"), (y_spec, "y"), (z_spec, "z")))
     if cells > MAX_GRID_CELLS:
         raise ValueError(
             f"grid of {cells} cells exceeds the cap of MAX_GRID_CELLS = {MAX_GRID_CELLS}"

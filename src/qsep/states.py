@@ -9,7 +9,8 @@ Conventions, fixed once for the whole package:
   as ``xyz_weights`` computes them.
 
 numpy is loaded only by the matrix API: ``bell_projectors``,
-``TwoQubitState`` and ``bell_diagonal_density``.
+``TwoQubitState`` and ``bell_diagonal_density``, which writes each state's
+matrix from its weights rather than summing projectors.
 
 Physical states fill the tetrahedron x, y, z <= 1 with x + y + z >= -1,
 whose vertices map to the four Bell projectors. ``nonnegative_weights`` is
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
 from typing import TYPE_CHECKING
 
 from .errors import UnphysicalStateError
@@ -125,12 +125,6 @@ def bell_projectors() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return tuple(mats)
 
 
-@cache
-def _shared_projectors():
-    # Built on first use, once: bell_diagonal_density sums these for every state.
-    return bell_projectors()
-
-
 @dataclass(frozen=True, eq=False)
 class TwoQubitState:
     """A validated 4x4 density matrix.
@@ -166,13 +160,16 @@ class TwoQubitState:
 
 
 def bell_diagonal_density(s: BellDiagonalState) -> TwoQubitState:
-    """Density matrix sum_k w_k P_k of a physical Bell-diagonal state."""
+    """Density matrix sum_k w_k P_k of a physical Bell-diagonal state, built
+    from its phi block (a, b) and psi block (c, d): each entry adds its two
+    nonzero terms w_k * h in projector order, so it is that sum bit for bit."""
     import numpy as np
 
-    weights = physical_weights(s)
-    m = np.zeros((4, 4), dtype=np.complex128)
-    for w, proj in zip(weights, _shared_projectors()):
-        m += w * proj
+    h = _SQRT_HALF * _SQRT_HALF  # each projector entry's magnitude, as rounded
+    phi_p, phi_m, psi_p, psi_m = (w * h for w in physical_weights(s))
+    a, b, c, d = phi_p + phi_m, phi_p - phi_m, psi_p + psi_m, psi_p - psi_m
+    m = np.array([[a, 0.0, 0.0, b], [0.0, c, d, 0.0], [0.0, d, c, 0.0], [b, 0.0, 0.0, a]],
+                 dtype=np.complex128)
     return TwoQubitState(matrix=m)
 
 

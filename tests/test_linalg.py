@@ -116,10 +116,15 @@ def test_jacobi_raises_when_the_sweeps_run_out(monkeypatch, capsys):
 
 
 def test_hermitian_eigenvalues_rejects_asymmetry():
-    m = np.eye(4, dtype=complex)
-    m[0, 1] += 1e-6
-    with pytest.raises(ValueError, match=r"not Hermitian.*\(0, 1\)"):
-        hermitian_eigenvalues(m)
+    # |m - m^H| is symmetric: the first largest entry, row-major, is named,
+    # and it lies above the diagonal
+    cases = (([(0, 1)], (0, 1)), ([(1, 0)], (0, 1)), ([(2, 3), (0, 3)], (0, 3)))
+    for entries, (i, j) in cases:
+        m = np.eye(4, dtype=complex)
+        for entry in entries:
+            m[entry] += 1e-6
+        with pytest.raises(ValueError, match=rf"not Hermitian.*\({i}, {j}\)"):
+            hermitian_eigenvalues(m)
 
 
 def test_hermitian_eigenvalues_symmetrises_tiny_asymmetry():

@@ -539,6 +539,31 @@ def test_region_scan_rejects_a_bad_band_on_any_grid(boundary_tol):
             region_scan(spec, spec, spec, boundary_tol=boundary_tol)
 
 
+@pytest.mark.parametrize("count", [2.9, math.inf, math.nan, "3", 0, -1.0])
+def test_grids_reject_a_count_that_is_not_whole_before_the_cap(count, monkeypatch):
+    with pytest.raises(ValueError, match="whole number of points"):
+        grid_points((0.0, 1.0, count), "x")
+
+    def no_points(spec, name):
+        raise AssertionError("grid points made for a bad count")
+
+    monkeypatch.setattr(qsep.separability, "grid_points", no_points)
+    # 2000 x 2000 x 2 cells would exceed the cap: the count is checked first
+    big = (-3.0, 1.0, 2000)
+    for build in (region_scan, eta_field):
+        for specs in (((0.0, 1.0, count), (0.0, 0.0, 1), (0.0, 0.0, 1)),
+                      (big, big, (-3.0, 1.0, count))):
+            with pytest.raises(ValueError, match="whole number of points"):
+                build(*specs)
+
+
+def test_grids_take_an_integral_float_count():
+    assert region_scan((0.0, 1.0, 5.0), (0.0, 0.0, 1), (0.0, 0.0, 1.0)) == \
+        region_scan((0.0, 1.0, 5), (0.0, 0.0, 1), (0.0, 0.0, 1))
+    assert eta_field((-3.0, 1.0, 5.0), (0.0, 0.0, 1), (0.0, 0.0, 1.0)) == \
+        eta_field((-3.0, 1.0, 5), (0.0, 0.0, 1), (0.0, 0.0, 1))
+
+
 def test_region_scan_rejects_an_unknown_method_on_any_grid():
     for spec in ((1.2, 1.2, 1), (-3.0, 1.0, 3)):
         with pytest.raises(ValueError, match="unknown classification method"):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 import helpers
 from qsep import (
@@ -84,6 +85,24 @@ def test_weights_roundtrip_through_density(rng):
         rho = bell_diagonal_density(s).matrix
         recovered = tuple(float((p @ rho).trace().real) for p in projectors)
         assert recovered == pytest.approx(bell_weights(s), abs=1e-14)
+
+
+@settings(derandomize=True, deadline=None)
+@given(helpers.tetrahedron_states())
+@example(BellDiagonalState(-3.0, 1.0, 1.0))
+@example(BellDiagonalState(1.0, -3.0, 1.0))
+@example(BellDiagonalState(1.0, 1.0, -3.0))
+@example(BellDiagonalState(1.0, 1.0, 1.0))
+@example(BellDiagonalState(-1.0, 1.0, 1.0))  # edge midpoint: phi+ and psi- at 1/2
+@example(BellDiagonalState(-1.0 / 3.0, -1.0 / 3.0, 1.0))  # face point: psi+ weight 0
+def test_density_is_the_projector_sum_bit_for_bit(s):
+    expected = np.zeros((4, 4), dtype=np.complex128)
+    for w, p in zip(bell_weights(s), bell_projectors()):
+        expected += w * p
+    got = bell_diagonal_density(s).matrix.view(np.float64)
+    expected = expected.view(np.float64)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 def test_is_physical_accepts_and_reports():

@@ -1,0 +1,83 @@
+"""Check that this tree's CLI prints the same bytes as another checkout's.
+
+Run from anywhere, with the root of the other checkout (for example the
+parent commit, extracted with ``git archive``) as the only argument:
+
+    python tools/compare_outputs.py PARENT_ROOT
+
+Each command of ``COMMANDS`` runs as ``python -m qsep ...`` twice: once with
+PARENT_ROOT/src on PYTHONPATH and once with this tree's src. One line per
+command says whether the two runs are identical or which of stdout and the
+exit code differ; stderr is not compared. The exit status is 1 if any
+command differs, else 0.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+METHODS = ("ppt", "ar-asymptotic", "ar-scan")
+GRIDS = (
+    ("--range=-3:1:41",),
+    ("--xrange=-3.03:0.97:41", "--yrange=-2.98:1.02:41", "--zrange=-3.01:0.99:41"),
+    ("--xrange=-0.8:1.25:3", "--yrange=-0.8:-0.8:1", "--zrange=-3:-0:3"),
+)
+CLASSIFY_POINTS = ("-3,1,1", "1,-3,1", "1,1,-3", "1,1,1", "0,0,0",
+                   "0.3333333333,0.3333333333,0.3333333333")
+# found, root-free, near-critical (q_I ~ 131 at q_max 200), vertex, unphysical
+QINFLEX_POINTS = ("0.6,0.6,0.6", "0.2,0.2,0.2", "0.34,0.34,0.34", "1,1,1", "1.2,0,0")
+
+COMMANDS = (
+    [["figure", which] for which in ("fig1a", "fig1b", "fig2", "fig3")]
+    + [["figure", "fig3", "--jobs", "2"]]
+    + [["scan", *grid, "--method", method] for grid in GRIDS for method in METHODS]
+    + [["classify", f"--xyz={xyz}", "--method", method]
+       for xyz in CLASSIFY_POINTS for method in METHODS]
+    + [["qinflex", f"--xyz={xyz}", "--q-max", q_max]
+       for q_max in ("5", "200", "1e4") for xyz in QINFLEX_POINTS]
+    + [
+        ["cond", "--xyz=0.1,-0.2,0.3", "--q", "2"],
+        ["entropy", "--xyz=0.1,-0.2,0.3", "--q", "2"],
+        ["entropy", "--weights=0.4,0.3,0.2,0.1", "--q", "0.5"],
+        ["threshold", "--q", "2", "--direction", "edge"],
+        ["threshold", "--q", "3", "--direction=1,0.5,0.2"],
+        # exit 3: a grid over the cap, an unphysical state
+        ["scan", "--range=-3:1:2000"],
+        ["cond", "--xyz=1.2,0,0", "--q", "2"],
+    ]
+)
+
+
+def run(src: Path, argv: list[str]) -> tuple[bytes, int]:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "qsep", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    return done.stdout, done.returncode
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python tools/compare_outputs.py PARENT_ROOT", file=sys.stderr)
+        return 2
+    parent_src = Path(argv[0]).resolve() / "src"
+    if not (parent_src / "qsep").is_dir():
+        print(f"error: no qsep package under {parent_src}", file=sys.stderr)
+        return 2
+    differing = 0
+    for command in COMMANDS:
+        (old_out, old_code), (new_out, new_code) = run(parent_src, command), run(SRC, command)
+        diffs = [name for name, same in (("stdout", old_out == new_out),
+                                         ("exit code", old_code == new_code)) if not same]
+        differing += bool(diffs)
+        verdict = f"{' and '.join(diffs)} differ" if diffs else "identical"
+        print(f"{verdict}: qsep {' '.join(command)} (exit {old_code} -> {new_code})", flush=True)
+    print(f"{len(COMMANDS) - differing} of {len(COMMANDS)} commands identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

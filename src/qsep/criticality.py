@@ -26,18 +26,13 @@ SEARCH_POINTS points. Unless S''(q_max) < 0, no grid point is concave, and
 that one evaluation reports no inflexion. Otherwise it binary-searches the
 rest of the grid for the first point where S'' < 0, reusing the value at
 q_max. Provided S'' is finite at both ends of the interval ending there and
-changes sign across it, the root inside is found by secant steps on S''
-alone. The first iterate is the root of the secant across the interval, each
-later one the root of the secant through the last two points. The sign of
-S'' at each iterate moves one end of the bracket in. A step that would leave
-the bracket, or two equal values of S'', gives way to the bracket's
-midpoint. The iteration stops once a step moves q by at most 2 ulp, or once
-the midpoint rounds onto an end. Every iterate lies strictly inside the
-bracket it shrinks, so the search ends on every input, with q_I at the
-precision of the computed S''. That is far inside ``refine_tol``, which is
-still validated and remains the error bound the search promises. States with
-S'' = 0 throughout, a root below Q_FLOOR, or S'' overflowing at the end of
-the interval report no inflexion.
+changes sign across it, the root inside is found on S'' alone by the
+package's one root finder, ``separability.secant_root``, with tol = 0: it
+ends once a secant step moves q by at most 2 ulp or the midpoint rounds onto
+an end, with q_I at the precision of the computed S'', far inside
+``refine_tol``, which is still validated and remains the promised error
+bound. States with S'' = 0 throughout, a root below Q_FLOOR, or S''
+overflowing at the end of the interval report no inflexion.
 
 The report depends on a state only through the multiset of its four Bell
 weights, bit for bit: the physicality test takes their ``min`` and the
@@ -57,7 +52,7 @@ from dataclasses import dataclass
 
 from .entropy import bell_log_pairs, entropy_kernel
 from .states import BellDiagonalState, physical_weights, xyz_weights
-from .separability import AxisSpec, check_tolerance, grid_axes, log_grid, physical_runs
+from .separability import AxisSpec, check_tolerance, grid_axes, log_grid, physical_runs, secant_root
 
 Q_FLOOR = 1e-3
 Q_MAX_DEFAULT = 200.0
@@ -91,36 +86,6 @@ def _check_q_max(q_max: float) -> None:
         raise ValueError(f"q_max must be finite and above {Q_FLOOR}, got {q_max!r}")
 
 
-def _secant(pairs, lo: float, hi: float, a: float, b: float) -> float:
-    # Root of S'' inside (lo, hi), where S''(lo) = a > 0 > b = S''(hi). The
-    # first iterate is the root of the secant across the bracket, each later
-    # one the root of the secant through the last two points, hi counting as
-    # the point before the first iterate. Every iterate lies strictly inside
-    # the bracket and moves one of its ends, so the loop ends.
-    q_prev, d2_prev = hi, b
-    q = lo + (hi - lo) * (a / (a - b))
-    if not lo < q < hi:
-        q = 0.5 * (lo + hi)
-    while True:
-        d2 = entropy_kernel(pairs, q, 2)
-        if d2 > 0.0:
-            lo = q
-        elif d2 < 0.0:
-            hi = q
-        else:
-            return q
-        if d2 != d2_prev:
-            step = d2 * (q - q_prev) / (d2 - d2_prev)
-            if abs(step) <= 2.0 * math.ulp(q):
-                return q - step
-            if lo < q - step < hi:
-                q_prev, d2_prev, q = q, d2, q - step
-                continue
-        q_prev, d2_prev, q = q, d2, 0.5 * (lo + hi)
-        if q == lo or q == hi:
-            return q
-
-
 def _search(weights, q_max: float) -> CriticalityReport:
     pairs = bell_log_pairs(weights)
     if q_max == Q_MAX_DEFAULT:
@@ -146,7 +111,7 @@ def _search(weights, q_max: float) -> CriticalityReport:
         lo, hi = grid[k - 1], grid[k]
         a, b = d2[lo], d2[hi]
         if math.isfinite(a) and math.isfinite(b) and a * b < 0.0:
-            q_inflexion = _secant(pairs, lo, hi, a, b)
+            q_inflexion = secant_root(lambda q: entropy_kernel(pairs, q, 2), lo, hi, a, b, 0.0)
             return CriticalityReport(q_inflexion, 1.0 / (1.0 + q_inflexion), (lo, hi), (a, b), ())
     return CriticalityReport(None, 0.0, None, None, ())
 

@@ -149,6 +149,17 @@ def rescaled_power_sum(weights: Sequence[float], q: float) -> float:
                       for _, L in bell_log_pairs(weights)])
 
 
+def log_residual(weights: Sequence[float], q: float) -> float:
+    """ln(sum_k (2 w_k)^q / 2) over the support of a Bell-weight tuple: for
+    q > 1, > 0 exactly where S_q(B|A) < 0. A log-sum-exp of w_k e^((q - 1) L_k)
+    with expm1 and log1p: no power overflows, and it stays accurate as q -> 1."""
+    exponents = [(w, (q - 1.0) * L) for w, L in bell_log_pairs(weights)]
+    top = max(x for _, x in exponents)
+    if math.isinf(top):  # q = inf, or an overflow: the largest L_k's sign decides
+        return top
+    return top + math.log1p(math.fsum([w * math.expm1(x - top) for w, x in exponents]))
+
+
 def conditional_entropy_bell(s: BellDiagonalState, q: float) -> ConditionalEntropyValue:
     """Closed-form conditional entropy of a physical Bell-diagonal state."""
     if not math.isfinite(q):

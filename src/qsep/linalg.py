@@ -145,39 +145,41 @@ def _jacobi_eigenvalues(a: list[list[complex]]) -> list[float]:
     """
     n = len(a)
     sweep = _SWEEP_ORDER[n]
+    hypot, sqrt = math.hypot, math.sqrt
     for _ in range(MAX_SWEEPS):
         off = max(abs(a[p][q]) for p, q, _ in sweep)
         if off < OFFDIAG_TOL:
             return [a[i][i].real for i in range(n)]
         for p, q, others in sweep:
-            apq = a[p][q]
+            ap, aq = a[p], a[q]
+            apq = ap[q]
             mag = abs(apq)
             if mag < OFFDIAG_TOL * 1e-2:
                 continue
             # apq * (1 / mag), not apq / mag: numpy's complex division rounds
             # this way, so the spectra match numpy-array arithmetic bit for bit
             phase = apq * (1.0 / mag)
-            app = a[p][p].real
-            aqq = a[q][q].real
+            app, aqq = ap[p].real, aq[q].real
             tau = (aqq - app) / (2.0 * mag)
-            if tau >= 0.0:
-                t = 1.0 / (tau + math.hypot(1.0, tau))
-            else:
-                t = -1.0 / (-tau + math.hypot(1.0, tau))
-            c = 1.0 / math.sqrt(1.0 + t * t)
+            t = 1.0 / (abs(tau) + hypot(1.0, tau))
+            if tau < 0.0:
+                t = -t
+            c = 1.0 / sqrt(1.0 + t * t)
             s = t * c
             phase_c = phase.conjugate()
+            # phase_c * s * viq multiplies left to right: the same roundings
+            phase_s, phase_cc = phase_c * s, phase_c * c
             for i in others:
-                vip = a[i][p]
-                viq = a[i][q]
-                a[i][p] = new_ip = c * vip - phase_c * s * viq
-                a[i][q] = new_iq = s * vip + phase_c * c * viq
-                a[p][i] = new_ip.conjugate()
-                a[q][i] = new_iq.conjugate()
-            a[p][p] = app - t * mag
-            a[q][q] = aqq + t * mag
-            a[p][q] = 0.0
-            a[q][p] = 0.0
+                ai = a[i]
+                vip, viq = ai[p], ai[q]
+                ai[p] = new_ip = c * vip - phase_s * viq
+                ai[q] = new_iq = s * vip + phase_cc * viq
+                ap[i] = new_ip.conjugate()
+                aq[i] = new_iq.conjugate()
+            ap[p] = app - t * mag
+            aq[q] = aqq + t * mag
+            ap[q] = 0.0
+            aq[p] = 0.0
     raise ConvergenceError(
         f"Jacobi eigensolver did not converge within {MAX_SWEEPS} sweeps"
     )

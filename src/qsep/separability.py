@@ -19,8 +19,9 @@ Three routes, deliberately independent of each other:
 default verdict band, and ``boundary_tol_for`` resolves and checks both.
 ``threshold_x`` finds where a parameter ray leaves the region with
 nonnegative conditional entropy at fixed q, and ``region_scan`` sweeps a
-Cartesian grid with a chosen classifier. ``bisect`` is the one bisection
-the package uses; ``grid_axes`` makes the points of every grid, capped at
+Cartesian grid with a chosen classifier. ``secant_root`` is the one root
+finder, used by ``threshold_x`` and by the inflexion search of
+``criticality``; ``grid_axes`` makes the points of every grid, capped at
 MAX_GRID_CELLS cells, and ``physical_runs`` is the one grid enumeration: it
 walks their (x, y) lines x-major and gives each line's physical cells as one
 run of z indices, so a caller spends work only on the cells it evaluates.
@@ -35,7 +36,7 @@ from itertools import product
 from typing import TYPE_CHECKING
 
 from .errors import BracketError
-from .entropy import bell_log_pairs, entropy_kernel, rescaled_power_sum
+from .entropy import bell_log_pairs, entropy_kernel, log_residual, rescaled_power_sum
 from .linalg import hermitian_eigenvalues, partial_transpose
 from .states import (
     BellDiagonalState,
@@ -101,22 +102,44 @@ def check_tolerance(tol: float, name: str) -> None:
         raise ValueError(f"{name} must be finite and positive, got {tol!r}")
 
 
-def bisect(above, lo: float, hi: float, tol: float) -> float:
-    """Midpoint of [lo, hi] after halving it to a width of at most tol.
-
-    ``above(t)`` tells whether t lies on the ``hi`` side of the change being
-    located. tol must be finite and positive (see ``check_tolerance``).
-    Halving also stops once the midpoint rounds onto an end, so a tol below
-    the float spacing still returns.
+def secant_root(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float) -> float:
+    """Root of f in [lo, hi], given f_lo = f(lo) and f_hi = f(hi) of opposite
+    signs, by secant steps through the last two points, each measured from
+    the one of smaller |f|. The bracket's midpoint replaces a step that would
+    leave the bracket or is not under half the step before last (Brent 1973),
+    and a step from a non-finite value. Returns x where f(x) == 0, the
+    secant's root once a step is at most 2 ulp, or the midpoint once the
+    bracket is at most tol wide (so tol bounds the error) or rounds onto an end.
     """
+    lo_positive = f_lo > 0.0
+    x_prev, f_prev = hi, f_hi
+    x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+    if not lo < x < hi:  # also a NaN from a non-finite end
+        x = 0.5 * (lo + hi)
+    last, before_last = abs(x - x_prev), hi - lo
     while hi - lo > tol:
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == lo_positive:
+            lo = x
+        else:
+            hi = x
+        if math.isfinite(fx) and math.isfinite(f_prev) and fx != f_prev:
+            step = fx * (x - x_prev) / (fx - f_prev)
+            # from the better point: where f is noise, a step from x can look large
+            moved = abs(step) if abs(fx) <= abs(f_prev) else abs(x - step - x_prev)
+            if moved <= 2.0 * math.ulp(x):
+                return x - step
+            if lo < x - step < hi and moved < 0.5 * before_last:
+                last, before_last = moved, last
+                x_prev, f_prev, x = x, fx, x - step
+                continue
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
-            break
-        if above(mid):
-            hi = mid
-        else:
-            lo = mid
+            return mid
+        last = before_last = abs(mid - x)
+        x_prev, f_prev, x = x, fx, mid
     return 0.5 * (lo + hi)
 
 
@@ -292,11 +315,12 @@ def _ray_extent(d: tuple[float, float, float]) -> float:
 def threshold_x(q: float, direction="diag", tol: float = 1e-12) -> float:
     """Ray parameter where S_q(B|A) first turns negative, for q > 1.
 
-    Bisects the sign change of S_q(B|A) along t * direction inside the
-    physical tetrahedron. When the whole physical segment keeps nonnegative
-    conditional entropy, the ray either grazes the critical surface exactly
-    at the physical boundary (the boundary parameter is returned) or never
-    reaches it (BracketError). tol must be finite and positive.
+    ``secant_root`` finds it to within tol along t * direction, on
+    ``log_residual``: the sign of -S_q(B|A) at the size of q ln(2 w). When
+    the whole physical segment keeps nonnegative conditional entropy, the
+    ray either grazes the critical surface exactly at the physical boundary
+    (the boundary parameter is returned) or never reaches it (BracketError).
+    tol must be finite and positive.
     """
     if not q > 1.0:
         raise ValueError(f"threshold search needs q > 1, got q = {q!r}")
@@ -304,22 +328,18 @@ def threshold_x(q: float, direction="diag", tol: float = 1e-12) -> float:
     d = _direction_vector(direction)
     t_max = _ray_extent(d)
 
-    def weights(t: float) -> tuple[float, float, float, float]:
-        return xyz_weights(t * d[0], t * d[1], t * d[2])
+    def residual(t: float) -> float:
+        return log_residual(xyz_weights(t * d[0], t * d[1], t * d[2]), q)
 
-    def entangled(t: float) -> bool:
-        # for q > 1, S_q(B|A) < 0 exactly where sum_k (2 w_k)^q > 2
-        return entropy_kernel(bell_log_pairs(weights(t)), q) < 0.0
-
-    if entangled(0.0):
-        raise BracketError("ray starts outside the nonnegative-entropy region")
-    if not entangled(t_max):
+    # the ray starts at the maximally mixed state, where it is (1 - q) ln 2 < 0
+    start, end = residual(0.0), residual(t_max)
+    if not end > 0.0:
         # No crossing inside the physical segment. If the endpoint sits on
         # the exact critical surface the threshold is the physical boundary.
-        if max(weights(t_max)) >= 0.5 - BOUNDARY_TOL_ANALYTIC:
+        if max(xyz_weights(t_max * d[0], t_max * d[1], t_max * d[2])) >= 0.5 - BOUNDARY_TOL_ANALYTIC:
             return t_max
         raise BracketError("ray never crosses the q-threshold surface")
-    return bisect(entangled, 0.0, t_max, tol)
+    return secant_root(residual, 0.0, t_max, start, end, tol)
 
 
 AxisSpec = tuple[float, float, int]

@@ -1,5 +1,5 @@
-"""Random-draw helpers shared by the test modules: seeded numpy draws and
-hypothesis strategies."""
+"""Helpers shared by the test modules: seeded numpy draws, hypothesis
+strategies and the reference bisection."""
 
 from __future__ import annotations
 
@@ -39,6 +39,25 @@ def random_octahedron_interior(rng: np.random.Generator, n: int,
         if -1.0 + margin <= x + y + z <= 1.0 - margin:
             points.append((float(x), float(y), float(z)))
     return points
+
+
+def bisect(above, lo: float, hi: float, tol: float) -> float:
+    """Midpoint of [lo, hi] after halving it to a width of at most tol.
+
+    ``above(t)`` tells whether t lies on the ``hi`` side of the change being
+    located. tol must be finite and positive. Halving also stops once the
+    midpoint rounds onto an end, so a tol below the float spacing still
+    returns. A reference independent of the package's root finder.
+    """
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def state_from_weights(weights) -> BellDiagonalState:

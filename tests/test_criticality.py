@@ -23,10 +23,10 @@ from qsep.criticality import (
     CriticalityReport,
 )
 from qsep.entropy import bell_log_pairs, entropy_kernel
-from qsep.separability import bisect, grid_points, log_grid
+from qsep.separability import grid_points, log_grid
 from qsep.states import bell_weights
 
-from helpers import state_from_weights, tetrahedron_states
+from helpers import bisect, state_from_weights, tetrahedron_states
 
 # Inflexion locations frozen from an independent 60-digit-precision solver
 # (analytic second derivative, dense log grid, bisection to 1e-30) before the

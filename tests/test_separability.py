@@ -38,6 +38,7 @@ from qsep.separability import (
     grid_points,
     log_grid,
     physical_runs,
+    secant_root,
 )
 from qsep.states import WEIGHT_TOL, bell_weights, is_physical, nonnegative_weights, xyz_weights
 
@@ -327,7 +328,7 @@ def test_threshold_on_any_ray_into_the_psi_minus_vertex_follows_its_large_q_form
     # eps sums (2 w_k)^q over the other three weights. With eps = 0 the root
     # is (2^(1+1/q) - 1)/sigma, and x + y + z = 1 as q -> inf. The eps term
     # moves it in by about 2^(1/q) eps / (q sigma), which is below t eps / q;
-    # 1e-12 covers the bisection's tol. The ray is drawn through the point
+    # 1e-12 covers the search's tol. The ray is drawn through the point
     # near the threshold whose other weights are split by shares, reached at
     # t = t_near. Over 3,000 draws the gap reached 0.99 of the bound.
     assume(sum(shares) > 0.0)
@@ -339,6 +340,12 @@ def test_threshold_on_any_ray_into_the_psi_minus_vertex_follows_its_large_q_form
     t = threshold_x(q, d)
     eps = sum((2.0 * w) ** q for w in xyz_weights(t * d[0], t * d[1], t * d[2])[:3])
     assert abs(t - (2.0 ** (1.0 + 1.0 / q) - 1.0) / sigma) <= t * eps / q + 1e-12
+
+
+def test_threshold_at_infinite_q_is_the_half_weight_plane():
+    # every residual is +-inf at q = inf, and midpoint steps find max w = 1/2
+    assert threshold_x(math.inf, "diag") == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert threshold_x(math.inf, "edge") == pytest.approx(0.5, abs=1e-12)
 
 
 def test_threshold_decreases_with_q():
@@ -385,6 +392,123 @@ def test_threshold_input_validation():
             threshold_x(2.0, "diag", tol)
         with pytest.raises(ValueError, match="tol"):
             threshold_x(2.0, "axis", tol)  # ends on the boundary, no bisection
+
+
+def ray_extent(d) -> float:
+    """Largest t with every Bell weight of t * d nonnegative."""
+    bounds = [1.0 / v for v in d if v > 0.0]
+    if sum(d) < 0.0:
+        bounds.append(-1.0 / sum(d))
+    return min(bounds)
+
+
+def threshold_with_calls(q: float, d, tol: float) -> tuple[float, int]:
+    """threshold_x(q, d, tol) and the number of residual evaluations it made."""
+    calls = []
+    residual = qsep.separability.log_residual
+
+    def counting(weights, q):
+        calls.append(q)
+        return residual(weights, q)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qsep.separability, "log_residual", counting)
+        t = threshold_x(q, d, tol)
+    return t, len(calls)
+
+
+def threshold_budget(d, tol: float) -> int:
+    """Evaluations a bisection to tol makes, both ends included."""
+    return 2 + math.ceil(math.log2(ray_extent(d) / tol))
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.floats(1.05, 5000.0), st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+# on the diagonal S_q(B|A) at the ray's end is -3.3e147 at q = 500 and -inf
+# at q = 2000 and 5000, while the log residual stays about q ln 2; next to
+# q = 1 the residual is of the size of q - 1 and keeps its accuracy
+@example(500.0, (1.0, 1.0, 1.0))
+@example(2000.0, (1.0, 1.0, 1.0))
+@example(5000.0, (1.0, 1.0, 1.0))
+@example(1.0 + 2.0**-30, (1.0, 1.0, 1.0))
+def test_threshold_matches_the_reference_bisection(q, d):
+    # The kernel's sign is the reference: a bisection of it to tol, and its
+    # change across [t - tol, t + tol]. Rays that end inside the
+    # nonnegative-entropy region are left out.
+    assume(max(map(abs, d)) > 1e-3)
+    tol = 1e-12
+
+    def entangled(t: float) -> bool:
+        return entropy_kernel(bell_log_pairs(xyz_weights(t * d[0], t * d[1], t * d[2])), q) < 0.0
+
+    assume(entangled(ray_extent(d)))
+    t, calls = threshold_with_calls(q, d, tol)
+    assert abs(t - helpers.bisect(entangled, 0.0, ray_extent(d), tol)) <= tol
+    assert not entangled(t - tol) and entangled(t + tol)
+    assert calls <= threshold_budget(d, tol)
+
+
+def test_threshold_takes_a_median_of_at_most_12_evaluations():
+    # a bisection to 1e-12 makes about 42; the rays cross the surface at q
+    # drawn log-uniformly from 1.05 to 5000
+    rng = np.random.default_rng(5)
+    counts = []
+    while len(counts) < 200:
+        d = tuple(map(float, rng.normal(size=3)))
+        q = float(np.exp(rng.uniform(np.log(1.05), np.log(5000.0))))
+        try:
+            t, calls = threshold_with_calls(q, d, 1e-12)
+        except BracketError:
+            continue
+        if t < ray_extent(d):
+            assert calls <= threshold_budget(d, 1e-12)
+            counts.append(calls)
+    assert np.median(counts) <= 12
+
+
+@pytest.mark.parametrize("end", ["lo", "hi"])
+def test_secant_root_steps_to_the_midpoint_beside_a_non_finite_end(end):
+    # no secant runs through an infinite value: with f(hi) = -inf both the
+    # first iterate and the one after it are midpoints
+    xs = []
+
+    def f(x: float) -> float:
+        xs.append(x)
+        return 0.3 - x if end == "hi" else x - 0.3
+
+    if end == "hi":
+        root, expected = secant_root(f, 0.0, 1.0, 0.3, -math.inf, 1e-12), [0.5, 0.25]
+    else:
+        root, expected = secant_root(f, 0.0, 1.0, -math.inf, 0.7, 1e-12), [0.5]
+    assert xs[:len(expected)] == expected
+    assert abs(root - 0.3) <= 1e-12
+
+
+def test_secant_root_returns_an_exact_zero_at_once():
+    xs = []
+
+    def f(x: float) -> float:
+        xs.append(x)
+        return x - 0.5
+
+    assert secant_root(f, 0.0, 1.0, -0.5, 0.5, 0.0) == 0.5
+    assert xs == [0.5]
+
+
+@pytest.mark.parametrize("tol", [2.0, 0.5, 1e-3, 1e-9])
+def test_secant_root_returns_within_a_tol_wider_than_the_float_spacing(tol):
+    # steep and convex, so secant steps alone would keep the upper end for
+    # long; a tol of at least the bracket's width returns its midpoint
+    # without an evaluation
+    xs = []
+
+    def f(x: float) -> float:
+        xs.append(x)
+        return math.expm1(40.0 * x) - 1.0
+
+    root = secant_root(f, 0.0, 1.0, -1.0, math.expm1(40.0) - 1.0, tol)
+    assert abs(root - math.log(2.0) / 40.0) <= tol
+    assert (xs == []) == (tol >= 1.0)
 
 
 def test_grid_points_validation_and_endpoints():

@@ -45,6 +45,8 @@ COMMANDS = (
         ["entropy", "--weights=0.4,0.3,0.2,0.1", "--q", "0.5"],
         ["threshold", "--q", "2", "--direction", "edge"],
         ["threshold", "--q", "3", "--direction=1,0.5,0.2"],
+        # the raw S_q(B|A) is -inf at the end of this ray
+        ["threshold", "--q", "2000", "--direction", "diag"],
         # exit 3: a grid over the cap, an unphysical state
         ["scan", "--range=-3:1:2000"],
         ["cond", "--xyz=1.2,0,0", "--q", "2"],

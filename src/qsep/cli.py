@@ -41,12 +41,13 @@ from .separability import (
     NAMED_DIRECTIONS,
     ar_classify_asymptotic,
     boundary_tol_for,
+    by_weight_multiset,
     classify_state,
     grid_axes,
-    physical_runs,
+    grid_results,
     threshold_x,
 )
-from .states import BellDiagonalState, bell_weights, physical_weights, xyz_weights
+from .states import BellDiagonalState, bell_weights, physical_weights
 
 FORMAT_VERSION = "qsep/1"
 
@@ -294,28 +295,29 @@ def _grid_document(header: list[str], axes, evaluate) -> Iterable[str]:
     """CSV chunks of every cell of the grid ``axes`` (``grid_axes`` output),
     x-major: the header line, then one chunk per x plane. A row holds x, y,
     z, physical, then the result fields of a physical cell, left empty for
-    the others. ``evaluate(x, y, z)`` is called for the physical cells only,
-    in row order, and returns their result fields as CSV text.
+    the others. ``evaluate(x, y, z)`` returns those fields as CSV text; it is
+    called by ``separability.grid_results`` for the physical cells only, in
+    row order, or once per Bell-weight multiset when wrapped in
+    ``by_weight_multiset``.
 
     Each axis point is formatted once and looked up by position: a cache
     keyed on the float would print -0.0 wherever 0.0 came first, as
     0.0 == -0.0. The text after x and y of a non-physical row depends on z
     alone, so it is made once per z point, and a line's non-physical runs
-    (see ``physical_runs``) are written by joining those texts.
+    are written by joining those texts.
     """
     xs, ys, zs = ([_csv_field(v) for v in axis] for axis in axes)
-    z_points = axes[2]
     tails = [f"{z},0{',' * (len(header) - 4)}\n" for z in zs]
-    runs = physical_runs(axes)
+    lines = grid_results(axes, evaluate)
     yield ",".join(header) + "\n"
     for fx in xs:
         plane = []
-        for fy, (x, y, lo, hi) in zip(ys, runs):
+        for fy, (_, _, lo, hi, results) in zip(ys, lines):
             prefix = f"{fx},{fy},"
             if lo > 0:
                 plane.append(prefix + prefix.join(tails[:lo]))
-            for k in range(lo, hi):
-                plane.append(f"{prefix}{zs[k]},1,{evaluate(x, y, z_points[k])}\n")
+            for fz, result in zip(zs[lo:hi], results):
+                plane.append(f"{prefix}{fz},1,{result}\n")
             if hi < len(zs):
                 plane.append(prefix + prefix.join(tails[hi:]))
         yield "".join(plane)
@@ -380,20 +382,15 @@ def _figure_fig2() -> Iterable[str]:
 
 def _figure_fig3() -> Iterable[str]:
     spec = (-3.0, 1.0, 41)
-    rows = {}
 
     def evaluate(x, y, z):
-        # one search per Bell-weight multiset: see criticality.eta_field
-        key = tuple(sorted(xyz_weights(x, y, z)))
-        row = rows.get(key)
-        if row is None:
-            s = BellDiagonalState(x, y, z)
-            verdict, eta = ar_classify_asymptotic(s).verdict, order_parameter(s).eta
-            row = rows[key] = f"{verdict},{_csv_field(eta)}"
-        return row
+        s = BellDiagonalState(x, y, z)
+        return f"{ar_classify_asymptotic(s).verdict},{_csv_field(order_parameter(s).eta)}"
 
-    return _grid_document(
-        ["x", "y", "z", "physical", "verdict", "eta"], grid_axes(spec, spec, spec), evaluate)
+    # the row text depends on a cell only through its weight multiset (see
+    # criticality): each multiset is searched and rendered once
+    return _grid_document(["x", "y", "z", "physical", "verdict", "eta"],
+                          grid_axes(spec, spec, spec), by_weight_multiset(evaluate))
 
 
 def _cmd_figure(args) -> Iterable[str]:

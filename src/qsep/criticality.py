@@ -41,7 +41,7 @@ and ``entropy_kernel`` sums its terms with the correctly rounded
 ``math.fsum``, whose result does not depend on their order. Every state
 with the same sorted weights therefore gets the same bracket, the same S''
 values and the same secant path. ``eta_field`` uses this to run one search
-per distinct multiset of a grid.
+per distinct multiset of a grid, through ``separability.by_weight_multiset``.
 """
 
 from __future__ import annotations
@@ -51,8 +51,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .entropy import bell_log_pairs, entropy_kernel
-from .states import BellDiagonalState, physical_weights, xyz_weights
-from .separability import AxisSpec, check_tolerance, grid_axes, log_grid, physical_runs, secant_root
+from .states import BellDiagonalState, physical_weights
+from .separability import (AxisSpec, by_weight_multiset, check_tolerance, grid_axes,
+                           grid_results, log_grid, secant_root)
 
 Q_FLOOR = 1e-3
 Q_MAX_DEFAULT = 200.0
@@ -151,18 +152,12 @@ def eta_field(x_spec: AxisSpec, y_spec: AxisSpec, z_spec: AxisSpec,
 
     eta depends on a state only through the multiset of its Bell weights
     (see ``order_parameter``), so the grid runs one search per distinct
-    multiset: a cell whose sorted weights equal an earlier cell's reuses
-    that cell's eta, which is the same float. q_max is checked before any
-    cell, so a bad one fails on every grid.
+    multiset (``by_weight_multiset``): a cell whose sorted weights equal an
+    earlier cell's reuses that cell's eta, which is the same float. q_max is
+    checked before any cell, so a bad one fails on every grid.
     """
     _check_q_max(q_max)
     axes = grid_axes(x_spec, y_spec, z_spec)
-    etas = {}
-    rows = []
-    for x, y, lo, hi in physical_runs(axes):
-        for z in axes[2][lo:hi]:
-            key = tuple(sorted(xyz_weights(x, y, z)))
-            if key not in etas:
-                etas[key] = order_parameter(BellDiagonalState(x, y, z), q_max=q_max).eta
-            rows.append((x, y, z, etas[key]))
-    return tuple(rows)
+    eta = by_weight_multiset(lambda x, y, z: order_parameter(BellDiagonalState(x, y, z), q_max).eta)
+    return tuple((x, y, z, e) for x, y, lo, hi, etas in grid_results(axes, eta)
+                 for z, e in zip(axes[2][lo:hi], etas))

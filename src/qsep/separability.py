@@ -25,6 +25,9 @@ finder, used by ``threshold_x`` and by the inflexion search of
 MAX_GRID_CELLS cells, and ``physical_runs`` is the one grid enumeration: it
 walks their (x, y) lines x-major and gives each line's physical cells as one
 run of z indices, so a caller spends work only on the cells it evaluates.
+``grid_results`` evaluates those cells line by line for ``region_scan``,
+``criticality.eta_field`` and the CLI's grids, and ``by_weight_multiset`` is
+the one memo of a result per Bell-weight multiset.
 """
 
 from __future__ import annotations
@@ -413,6 +416,34 @@ def physical_runs(axes):
         yield x, y, lo, hi
 
 
+def grid_results(axes, evaluate):
+    """Yield (x, y, lo, hi, results) for each line of ``physical_runs(axes)``,
+    where results is ``[evaluate(x, y, z) for z in zs[lo:hi]]``: evaluate
+    runs on the physical cells only, in row order, one line at a time."""
+    zs = axes[2]
+    for x, y, lo, hi in physical_runs(axes):
+        yield x, y, lo, hi, [evaluate(x, y, z) for z in zs[lo:hi]]
+
+
+def by_weight_multiset(evaluate):
+    """Wrap ``evaluate(x, y, z)`` to run once per multiset of Bell weights
+    (the sorted ``xyz_weights``): a later cell with the same multiset gets
+    the first cell's result object. The caller must know that evaluate
+    depends on a cell only through that multiset, bit for bit; ``ppt`` does
+    not, as the eigensolver's rounding follows where each weight sits."""
+    results = {}
+
+    def memo(x, y, z):
+        key = tuple(sorted(xyz_weights(x, y, z)))
+        try:
+            return results[key]
+        except KeyError:
+            result = results[key] = evaluate(x, y, z)
+            return result
+
+    return memo
+
+
 def classify_state(s: BellDiagonalState, method: str,
                    boundary_tol: float | None = None) -> Classification:
     """Dispatch a physical Bell-diagonal state to one classifier, with the
@@ -437,8 +468,9 @@ def region_scan(x_spec: AxisSpec, y_spec: AxisSpec, z_spec: AxisSpec,
     tol = boundary_tol_for(method, boundary_tol)
     xs, ys, zs = axes = grid_axes(x_spec, y_spec, z_spec)
     cells = []
-    for x, y, lo, hi in physical_runs(axes):
+    for x, y, lo, hi, results in grid_results(
+            axes, lambda x, y, z: classify_state(BellDiagonalState(x, y, z), method, tol)):
         for k, z in enumerate(zs):
-            c = classify_state(BellDiagonalState(x, y, z), method, tol) if lo <= k < hi else None
+            c = results[k - lo] if lo <= k < hi else None
             cells.append(GridCell(x, y, z, c is not None, c))
     return RegionGrid(xs=xs, ys=ys, zs=zs, cells=tuple(cells))

@@ -35,6 +35,7 @@ from qsep import (
     BellDiagonalState,
     NumericalError,
     ar_classify_asymptotic,
+    bell_weights,
     classify_state,
     is_physical,
     order_parameter,
@@ -553,6 +554,30 @@ def test_figure_fig3_rows_equal_a_fresh_evaluation_of_each_cell(capsys):
         s = BellDiagonalState(float(x), float(y), float(z))
         assert verdict == ar_classify_asymptotic(s).verdict
         assert eta == format(order_parameter(s).eta, ".17g")
+
+
+def test_grid_commands_evaluate_once_per_multiset_or_once_per_cell(capsys, monkeypatch):
+    # fig3 searches and renders each of the 2,240 weight multisets of its
+    # 12,341 physical cells once; a ppt scan classifies every physical cell,
+    # those that repeat a multiset included
+    calls = {}
+    for name in ("ar_classify_asymptotic", "order_parameter", "classify_state"):
+        def counted(*args, _name=name, _original=getattr(qsep.cli, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(qsep.cli, name, counted)
+    assert run_cli(capsys, "figure", "fig3")[0] == 0
+    assert calls == {"ar_classify_asymptotic": 2_240, "order_parameter": 2_240}
+
+    calls.clear()
+    assert run_cli(capsys, "scan", "--range=-1:1:3", "--method", "ppt")[0] == 0
+    spec = (-1.0, 1.0, 3)
+    physical = [s for s in itertools.starmap(BellDiagonalState,
+                                             itertools.product(*grid_axes(spec, spec, spec)))
+                if is_physical(s)]
+    assert len({tuple(sorted(bell_weights(s))) for s in physical}) < len(physical)
+    assert calls == {"classify_state": len(physical)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Structure checks over the package sources: no private helper crosses a
 module boundary, only ``states`` calls ``is_physical`` and names
-``WEIGHT_TOL``, and only ``separability`` names the default verdict bands."""
+``WEIGHT_TOL``, and only ``separability`` names the default verdict bands,
+enumerates a grid and keys a result by its Bell-weight multiset."""
 
 import ast
 from pathlib import Path
@@ -36,6 +37,29 @@ def test_only_states_calls_is_physical():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "is_physical"
     )
     assert callers == ["states.py"]
+
+
+def _called(node, name: str) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+
+def test_only_separability_enumerates_grids_and_keys_multisets():
+    # one grid-evaluation path: every grid goes through grid_results, and
+    # by_weight_multiset holds the one sorted(xyz_weights(...)) memo key
+    runs_callers = sorted(
+        name
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if _called(node, "physical_runs")
+    )
+    key_makers = sorted(
+        name
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if _called(node, "sorted") and node.args and _called(node.args[0], "xyz_weights")
+    )
+    assert runs_callers == ["separability.py"]
+    assert key_makers == ["separability.py"]
 
 
 def test_only_states_names_weight_tol():

@@ -34,8 +34,10 @@ from qsep.separability import (
     MAX_GRID_CELLS,
     Classification,
     boundary_tol_for,
+    by_weight_multiset,
     grid_axes,
     grid_points,
+    grid_results,
     log_grid,
     physical_runs,
     secant_root,
@@ -638,6 +640,23 @@ def test_physical_runs_are_the_physical_cells_of_each_line(x_spec, y_spec, z_spe
         assert list(range(lo, hi)) == [
             k for k, z in enumerate(zs) if nonnegative_weights(xyz_weights(x, y, z))
         ]
+    # grid_results evaluates exactly those cells, once each, in row order
+    cells = []
+    lines = list(grid_results(axes, lambda *cell: cells.append(cell) or cell))
+    assert [line[:4] for line in lines] == runs
+    assert cells == [(x, y, z) for x, y, lo, hi in runs for z in zs[lo:hi]]
+    assert [result for line in lines for result in line[4]] == cells
+    # by_weight_multiset evaluates each multiset once and hands every later
+    # cell with that multiset the very object its first cell got
+    made = []
+    memo = by_weight_multiset(lambda *cell: made.append(object()) or made[-1])
+    first = {}
+    for cell in cells:
+        result = memo(*cell)
+        assert result is first.setdefault(tuple(sorted(xyz_weights(*cell))), result)
+    assert list(first.values()) == made
+    if (x_spec, y_spec, z_spec) == ((-3.0, 1.0, 9),) * 3:
+        assert (len(cells), len(made)) == (165, 15)
 
 
 def test_region_scan_structure():

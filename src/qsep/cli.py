@@ -282,7 +282,6 @@ def _cmd_qinflex(args) -> Iterable[str]:
         "vertex": report.vertex,
         "bracket": list(report.bracket) if report.bracket else None,
         "d2_at_bracket": list(report.d2_at_bracket) if report.d2_at_bracket else None,
-        "extra_brackets": [list(b) for b in report.extra_brackets],
     }
     return _scalar_document(args, command, payload)
 

@@ -69,16 +69,12 @@ class CriticalityReport:
 
     ``bracket`` is the grid interval whose sign change was refined (None if
     none was found), with the second-derivative values at its ends.
-    ``extra_brackets`` would list further sign-change intervals on the grid;
-    S''' < 0 leaves S'' strictly decreasing, so there is never a second one
-    and it is always empty.
     """
 
     q_inflexion: float | None
     eta: float
     bracket: tuple[float, float] | None
     d2_at_bracket: tuple[float, float] | None
-    extra_brackets: tuple[tuple[float, float], ...]
     vertex: bool = False
 
 
@@ -106,15 +102,15 @@ def _search(weights, q_max: float) -> CriticalityReport:
     # root. Otherwise the binary search runs below grid[-1]; for k > 0, S''
     # is then known at both grid[k - 1] and grid[k].
     if not concave(grid[-1]):
-        return CriticalityReport(None, 0.0, None, None, ())
+        return CriticalityReport(None, 0.0, None, None)
     k = bisect_left(grid, True, hi=len(grid) - 1, key=concave)
     if k > 0:
         lo, hi = grid[k - 1], grid[k]
         a, b = d2[lo], d2[hi]
         if math.isfinite(a) and math.isfinite(b) and a * b < 0.0:
             q_inflexion = secant_root(lambda q: entropy_kernel(pairs, q, 2), lo, hi, a, b, 0.0)
-            return CriticalityReport(q_inflexion, 1.0 / (1.0 + q_inflexion), (lo, hi), (a, b), ())
-    return CriticalityReport(None, 0.0, None, None, ())
+            return CriticalityReport(q_inflexion, 1.0 / (1.0 + q_inflexion), (lo, hi), (a, b))
+    return CriticalityReport(None, 0.0, None, None)
 
 
 def inflexion_point(s: BellDiagonalState, q_max: float = Q_MAX_DEFAULT,
@@ -142,7 +138,7 @@ def order_parameter(s: BellDiagonalState, q_max: float = Q_MAX_DEFAULT,
     check_tolerance(refine_tol, "refine_tol")
     weights = physical_weights(s)
     if max(weights) >= 1.0 - _VERTEX_TOL:
-        return CriticalityReport(None, 1.0, None, None, (), vertex=True)
+        return CriticalityReport(None, 1.0, None, None, vertex=True)
     return _search(weights, q_max)
 
 

@@ -213,7 +213,7 @@ def test_qinflex_payloads(capsys):
     payload = json.loads(out)["payload"]
     assert payload["q_inflexion"] == pytest.approx(3.9913375067783657, rel=2e-6)
     assert len(payload["bracket"]) == 2
-    assert payload["extra_brackets"] == []
+    assert list(payload) == ["q_inflexion", "eta", "vertex", "bracket", "d2_at_bracket"]
 
 
 # ---------------------------------------------------------------------------

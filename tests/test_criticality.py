@@ -73,7 +73,6 @@ def test_no_inflexion_for_separable_diagonal_states():
         assert report.eta == 0.0
         assert report.bracket is None
         assert report.d2_at_bracket is None
-        assert report.extra_brackets == ()
         assert inflexion_point(werner(t)) is None
 
 
@@ -97,7 +96,6 @@ def test_search_reports_the_refined_bracket():
     assert lo < report.q_inflexion < hi
     d2_lo, d2_hi = report.d2_at_bracket
     assert d2_lo > 0.0 > d2_hi
-    assert report.extra_brackets == ()
 
 
 def test_eta_grows_towards_the_vertex():
@@ -196,8 +194,9 @@ def test_eta_field_rejects_a_bad_q_max_on_any_grid(q_max):
 
 
 def linear_scan_report(s: BellDiagonalState, q_max: float) -> CriticalityReport:
-    """Reference: S'' at every grid point, every finite sign change listed,
-    the first one bisected until the midpoint rounds onto an end (tol 1e-300).
+    """Reference: S'' at every grid point, every finite sign change found
+    (there must be at most one), and that one bisected until the midpoint
+    rounds onto an end (tol 1e-300).
     order_parameter ran this scan before it used S''' < 0 to binary-search
     the grid and to take secant steps inside the bracket."""
     pairs = bell_log_pairs(bell_weights(s))
@@ -206,13 +205,12 @@ def linear_scan_report(s: BellDiagonalState, q_max: float) -> CriticalityReport:
     brackets = [k for k in range(len(grid) - 1)
                 if math.isfinite(d2[k]) and math.isfinite(d2[k + 1]) and d2[k] * d2[k + 1] < 0.0]
     if not brackets:
-        return CriticalityReport(None, 0.0, None, None, ())
-    k = brackets[0]
+        return CriticalityReport(None, 0.0, None, None)
+    (k,) = brackets  # S''' < 0: S'' changes sign at most once
     lo_negative = d2[k] < 0.0
     q = bisect(lambda t: (entropy_kernel(pairs, t, 2) < 0.0) != lo_negative,
                grid[k], grid[k + 1], 1e-300)
-    return CriticalityReport(q, 1.0 / (1.0 + q), (grid[k], grid[k + 1]), (d2[k], d2[k + 1]),
-                             tuple((grid[j], grid[j + 1]) for j in brackets[1:]))
+    return CriticalityReport(q, 1.0 / (1.0 + q), (grid[k], grid[k + 1]), (d2[k], d2[k + 1]))
 
 
 SEARCH_Q_MAX = (5.0, Q_MAX_DEFAULT, 1e4)
@@ -226,7 +224,6 @@ def assert_matches_reference(report: CriticalityReport, reference: CriticalityRe
     """Everything but the root equal; the root and eta within REFERENCE_RTOL."""
     assert report.bracket == reference.bracket
     assert report.d2_at_bracket == reference.d2_at_bracket
-    assert report.extra_brackets == reference.extra_brackets
     assert report.vertex == reference.vertex
     assert (report.q_inflexion is None) == (reference.q_inflexion is None)
     if reference.q_inflexion is None:
@@ -323,7 +320,7 @@ def test_a_state_convex_at_q_max_costs_one_evaluation(s, q_max):
         calls = recorded_kernel_calls(patch)
         report = order_parameter(s, q_max=q_max)
     assert calls == [(q_max, 2)]
-    assert report == CriticalityReport(None, 0.0, None, None, ())
+    assert report == CriticalityReport(None, 0.0, None, None)
 
 
 def test_search_cost_on_the_21_point_grid(monkeypatch):

@@ -294,16 +294,14 @@ def _grid_document(header: list[str], axes, evaluate) -> Iterable[str]:
     """CSV chunks of every cell of the grid ``axes`` (``grid_axes`` output),
     x-major: the header line, then one chunk per x plane. A row holds x, y,
     z, physical, then the result fields of a physical cell, left empty for
-    the others. ``evaluate(x, y, z)`` returns those fields as CSV text; it is
-    called by ``separability.grid_results`` for the physical cells only, in
-    row order, or once per Bell-weight multiset when wrapped in
-    ``by_weight_multiset``.
+    the others, as CSV text from ``evaluate(x, y, z)``: ``grid_results`` calls
+    it for the physical cells only, in row order, and once per Bell-weight
+    multiset when it is wrapped in ``by_weight_multiset``.
 
     Each axis point is formatted once and looked up by position: a cache
     keyed on the float would print -0.0 wherever 0.0 came first, as
     0.0 == -0.0. The text after x and y of a non-physical row depends on z
-    alone, so it is made once per z point, and a line's non-physical runs
-    are written by joining those texts.
+    alone: it is made once per z point and joined for each non-physical run.
     """
     xs, ys, zs = ([_csv_field(v) for v in axis] for axis in axes)
     tails = [f"{z},0{',' * (len(header) - 4)}\n" for z in zs]
@@ -315,8 +313,8 @@ def _grid_document(header: list[str], axes, evaluate) -> Iterable[str]:
             prefix = f"{fx},{fy},"
             if lo > 0:
                 plane.append(prefix + prefix.join(tails[:lo]))
-            for fz, result in zip(zs[lo:hi], results):
-                plane.append(f"{prefix}{fz},1,{result}\n")
+            if results:
+                plane += [f"{prefix}{fz},1,{result}\n" for fz, result in zip(zs[lo:hi], results)]
             if hi < len(zs):
                 plane.append(prefix + prefix.join(tails[hi:]))
         yield "".join(plane)
@@ -386,8 +384,7 @@ def _figure_fig3() -> Iterable[str]:
         s = BellDiagonalState(x, y, z)
         return f"{ar_classify_asymptotic(s).verdict},{_csv_field(order_parameter(s).eta)}"
 
-    # the row text depends on a cell only through its weight multiset (see
-    # criticality): each multiset is searched and rendered once
+    # a row depends on a cell only through its weight multiset (see criticality)
     return _grid_document(["x", "y", "z", "physical", "verdict", "eta"],
                           grid_axes(spec, spec, spec), by_weight_multiset(evaluate))
 

@@ -22,12 +22,10 @@ nonnegative conditional entropy at fixed q, and ``region_scan`` sweeps a
 Cartesian grid with a chosen classifier. ``secant_root`` is the one root
 finder, used by ``threshold_x`` and by the inflexion search of
 ``criticality``; ``grid_axes`` makes the points of every grid, capped at
-MAX_GRID_CELLS cells, and ``physical_runs`` is the one grid enumeration: it
-walks their (x, y) lines x-major and gives each line's physical cells as one
-run of z indices, so a caller spends work only on the cells it evaluates.
-``grid_results`` evaluates those cells line by line for ``region_scan``,
-``criticality.eta_field`` and the CLI's grids, and ``by_weight_multiset`` is
-the one memo of a result per Bell-weight multiset.
+MAX_GRID_CELLS cells. ``physical_runs``, the one grid enumeration, gives
+each of their (x, y) lines' physical cells as one run of z indices;
+``grid_results``, the one grid-evaluation path, evaluates only those cells,
+and ``by_weight_multiset`` is the one memo of a result per weight multiset.
 """
 
 from __future__ import annotations
@@ -417,29 +415,25 @@ def physical_runs(axes):
 
 
 def grid_results(axes, evaluate):
-    """Yield (x, y, lo, hi, results) for each line of ``physical_runs(axes)``,
-    where results is ``[evaluate(x, y, z) for z in zs[lo:hi]]``: evaluate
-    runs on the physical cells only, in row order, one line at a time."""
-    zs = axes[2]
+    """Yield (x, y, lo, hi, [evaluate(x, y, z) for z in zs[lo:hi]]) for each
+    line of ``physical_runs(axes)``: the physical cells only, in row order."""
     for x, y, lo, hi in physical_runs(axes):
-        yield x, y, lo, hi, [evaluate(x, y, z) for z in zs[lo:hi]]
+        yield x, y, lo, hi, [evaluate(x, y, z) for z in axes[2][lo:hi]]
 
 
 def by_weight_multiset(evaluate):
-    """Wrap ``evaluate(x, y, z)`` to run once per multiset of Bell weights
-    (the sorted ``xyz_weights``): a later cell with the same multiset gets
-    the first cell's result object. The caller must know that evaluate
-    depends on a cell only through that multiset, bit for bit; ``ppt`` does
-    not, as the eigensolver's rounding follows where each weight sits."""
+    """Wrap ``evaluate(x, y, z)`` to run once per Bell-weight multiset (the
+    sorted ``xyz_weights``; a None result is not kept), handing later cells
+    the first cell's result object. The caller must know evaluate depends on
+    a cell only through that multiset, bit for bit; ``ppt`` does not."""
     results = {}
 
     def memo(x, y, z):
         key = tuple(sorted(xyz_weights(x, y, z)))
-        try:
-            return results[key]
-        except KeyError:
+        result = results.get(key)
+        if result is None:
             result = results[key] = evaluate(x, y, z)
-            return result
+        return result
 
     return memo
 

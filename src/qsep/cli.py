@@ -39,6 +39,7 @@ from .linalg import Spectrum
 from .separability import (
     DEFAULT_BOUNDARY_TOL,
     NAMED_DIRECTIONS,
+    THRESHOLD_TOL_DEFAULT,
     ar_classify_asymptotic,
     boundary_tol_for,
     by_weight_multiset,
@@ -220,17 +221,17 @@ def _cmd_entropy(args) -> Iterable[str]:
     q = args.q
     if args.weights is not None:
         joint = Spectrum.from_values(args.weights, stochastic=True)
-        source = {"weights": list(args.weights)}
+        source = {"weights": args.weights}
     else:
         s = BellDiagonalState(*args.xyz)
         joint = Spectrum.from_values(physical_weights(s), stochastic=True)
-        source = {"xyz": list(args.xyz)}
-    reduced = Spectrum.uniform(2)
+        source = {"xyz": args.xyz}
+    marginal = tsallis_entropy(Spectrum.uniform(2), q)  # both marginals are maximally mixed
     command = {"name": "entropy", **source, "q": q}
     payload = {
         "S_q_joint": tsallis_entropy(joint, q),
-        "S_q_A": tsallis_entropy(reduced, q),
-        "S_q_B": tsallis_entropy(reduced, q),
+        "S_q_A": marginal,
+        "S_q_B": marginal,
     }
     return _scalar_document(args, command, payload)
 
@@ -238,7 +239,7 @@ def _cmd_entropy(args) -> Iterable[str]:
 def _cmd_cond(args) -> Iterable[str]:
     s = BellDiagonalState(*args.xyz)
     result = conditional_entropy_bell(s, args.q)
-    command = {"name": "cond", "xyz": list(args.xyz), "q": args.q}
+    command = {"name": "cond", "xyz": args.xyz, "q": args.q}
     payload = {
         "value": result.value,
         "cond_b_given_a": result.value,
@@ -251,7 +252,7 @@ def _cmd_classify(args) -> Iterable[str]:
     s = BellDiagonalState(*args.xyz)
     tol = boundary_tol_for(args.method, args.boundary_tol)
     result = classify_state(s, args.method, tol)
-    command = {"name": "classify", "xyz": list(args.xyz), "method": args.method,
+    command = {"name": "classify", "xyz": args.xyz, "method": args.method,
                "boundary_tol": tol}
     payload = {
         "verdict": result.verdict,
@@ -263,10 +264,8 @@ def _cmd_classify(args) -> Iterable[str]:
 
 
 def _cmd_threshold(args) -> Iterable[str]:
-    direction = args.direction
-    value = threshold_x(args.q, direction, args.tol)
-    echo = direction if isinstance(direction, str) else list(direction)
-    command = {"name": "threshold", "q": args.q, "direction": echo, "tol": args.tol}
+    value = threshold_x(args.q, args.direction, args.tol)
+    command = {"name": "threshold", "q": args.q, "direction": args.direction, "tol": args.tol}
     payload = {"threshold_x": value}
     return _scalar_document(args, command, payload)
 
@@ -274,14 +273,14 @@ def _cmd_threshold(args) -> Iterable[str]:
 def _cmd_qinflex(args) -> Iterable[str]:
     s = BellDiagonalState(*args.xyz)
     report = order_parameter(s, q_max=args.q_max, refine_tol=args.refine_tol)
-    command = {"name": "qinflex", "xyz": list(args.xyz), "q_max": args.q_max,
+    command = {"name": "qinflex", "xyz": args.xyz, "q_max": args.q_max,
                "refine_tol": args.refine_tol}
     payload = {
         "q_inflexion": report.q_inflexion,
         "eta": report.eta,
         "vertex": report.vertex,
-        "bracket": list(report.bracket) if report.bracket else None,
-        "d2_at_bracket": list(report.d2_at_bracket) if report.d2_at_bracket else None,
+        "bracket": report.bracket,
+        "d2_at_bracket": report.d2_at_bracket,
     }
     return _scalar_document(args, command, payload)
 
@@ -321,9 +320,7 @@ def _grid_document(header: list[str], axes, evaluate) -> Iterable[str]:
 
 
 def _cmd_scan(args) -> Iterable[str]:
-    default = (-3.0, 1.0, 21)
-    shared = args.range if args.range is not None else default
-    specs = [spec if spec is not None else shared
+    specs = [spec if spec is not None else args.range
              for spec in (args.xrange, args.yrange, args.zrange)]
     tol = boundary_tol_for(args.method, args.boundary_tol)
 
@@ -389,10 +386,8 @@ def _figure_fig3() -> Iterable[str]:
                           grid_axes(spec, spec, spec), by_weight_multiset(evaluate))
 
 
-def _cmd_figure(args) -> Iterable[str]:
-    figures = {"fig1a": _figure_fig1a, "fig1b": _figure_fig1b,
-               "fig2": _figure_fig2, "fig3": _figure_fig3}
-    return figures[args.which]()
+_FIGURES = {"fig1a": _figure_fig1a, "fig1b": _figure_fig1b,
+            "fig2": _figure_fig2, "fig3": _figure_fig3}
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", type=_numbers_type("DX,DY,DZ", words=tuple(NAMED_DIRECTIONS)),
                    default="diag",
                    help=f"{', '.join(NAMED_DIRECTIONS)}, or DX,DY,DZ")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=THRESHOLD_TOL_DEFAULT)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_threshold)
 
@@ -454,14 +449,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_qinflex)
 
     p = sub.add_parser("figure", help="emit a figure dataset as CSV")
-    p.add_argument("which", choices=("fig1a", "fig1b", "fig2", "fig3"))
+    p.add_argument("which", choices=_FIGURES)
     p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     _add_output_flags(p, formats=())
-    p.set_defaults(func=_cmd_figure)
+    p.set_defaults(func=lambda args: _FIGURES[args.which]())
 
     p = sub.add_parser("scan", help="classify a Cartesian grid of states")
-    p.add_argument("--range", type=_range_type, default=None,
-                   help="MIN:MAX:COUNT applied to all axes (default -3:1:21)")
+    p.add_argument("--range", type=_range_type, default="-3:1:21",
+                   help="MIN:MAX:COUNT applied to all axes (default %(default)s)")
     p.add_argument("--xrange", type=_range_type, default=None)
     p.add_argument("--yrange", type=_range_type, default=None)
     p.add_argument("--zrange", type=_range_type, default=None)
@@ -474,34 +469,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Flags whose values may legitimately start with "-" (negative coordinates,
-# ranges, or entropic indices). argparse only recognises bare negative
-# numbers, so these pairs are folded into --flag=value form before parsing.
-_VALUE_FLAGS = frozenset({
-    "--xyz", "--weights", "--direction", "--range", "--xrange", "--yrange",
-    "--zrange", "--q", "--q-max", "--tol", "--refine-tol", "--boundary-tol",
-})
-
-
 def _normalise_argv(argv: list[str]) -> list[str]:
+    """Fold ``--name VALUE`` into ``--name=VALUE`` where VALUE starts with a
+    single "-", such as a negative range or a path like -r.csv: argparse
+    takes such a token as a value only if it is a bare negative number.
+    Every long option but --help takes exactly one value, so the token after
+    one is its value. -h is never a value, and nothing is folded into
+    --help, its abbreviations or the "--" separator (prefixes of "--help")."""
     out = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if token in _VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"{token}={argv[i + 1]}")
-            i += 2
+    for token in argv:
+        last = out[-1] if out else ""
+        if (last.startswith("--") and "=" not in last and not "--help".startswith(last)
+                and token.startswith("-") and not token.startswith("--") and token != "-h"):
+            out[-1] = f"{last}={token}"
         else:
             out.append(token)
-            i += 1
     return out
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    raw = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        args = parser.parse_args(_normalise_argv(raw))
+        args = parser.parse_args(_normalise_argv(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

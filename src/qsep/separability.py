@@ -63,6 +63,7 @@ NAMED_DIRECTIONS = {
     "axis": (1.0, 0.0, 0.0),
     "edge": (1.0, 1.0, 0.0),
 }
+THRESHOLD_TOL_DEFAULT = 1e-12
 
 
 @dataclass(frozen=True)
@@ -313,7 +314,7 @@ def _ray_extent(d: tuple[float, float, float]) -> float:
     return extent
 
 
-def threshold_x(q: float, direction="diag", tol: float = 1e-12) -> float:
+def threshold_x(q: float, direction="diag", tol: float = THRESHOLD_TOL_DEFAULT) -> float:
     """Ray parameter where S_q(B|A) first turns negative, for q > 1.
 
     ``secant_root`` finds it to within tol along t * direction, on

@@ -7,6 +7,7 @@ A separate test checks an installed ``qsep`` executable, and is skipped where
 no ``qsep`` distribution is installed.
 """
 
+import argparse
 import csv
 import importlib.metadata
 import inspect
@@ -277,11 +278,50 @@ def test_exit_code_usage_errors(capsys):
     # the qinflex payload holds lists, which one CSV row cannot
     assert run_cli(capsys, "qinflex", "--xyz", "0.6,0.6,0.6", "--format", "csv")[0] == 2
     assert run_cli(capsys, "nonsense")[0] == 2
+    # "--" ends the options: the flag before it has no value
+    assert run_cli(capsys, "cond", "--xyz", "0,0,0", "--q", "--")[0] == 2
+    assert run_cli(capsys, "scan", "--range", "--")[0] == 2
     assert run_cli(capsys)[0] == 2
 
 
 def test_help_exits_cleanly(capsys):
     assert run_cli(capsys, "--help")[0] == 0
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["cond", "--xyz", "0,0,0", "--q", "-0.5"], 0),
+    (["classify", "--xyz", "0,0,0", "--boundary-tol", "-1"], 3),
+    (["qinflex", "--xyz", "0.6,0.6,0.6", "--q-max", "-5"], 3),
+    (["figure", "fig1a", "--jobs", "-1"], 0),
+    # an abbreviation argparse accepts takes its value the same way
+    (["scan", "--ran", "-1:1:3"], 0),
+    # the help flags take no value and are no value
+    (["cond", "--help", "-x"], 0),
+    (["cond", "--bogus", "-h"], 0),
+])
+def test_a_value_starting_with_a_dash_reaches_its_option(capsys, argv, expected):
+    assert run_cli(capsys, *argv)[0] == expected
+
+
+def test_an_out_path_starting_with_a_dash(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "scan", "--range=0:0:1", "--out", "-r.csv")
+    assert (code, out) == (0, "")
+    written = (tmp_path / "-r.csv").read_text(encoding="utf-8")
+    assert written == run_cli(capsys, "scan", "--range=0:0:1")[1]
+
+
+def test_every_option_but_help_takes_exactly_one_value():
+    # The premise of qsep.cli._normalise_argv, which reads the token after
+    # any long option but --help as that option's value.
+    parser = qsep.cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert commands.choices
+    for command in [parser, *commands.choices.values()]:
+        for action in command._actions:
+            if action.option_strings and not isinstance(action, argparse._HelpAction):
+                assert action.nargs is None, (command.prog, action.option_strings)
+                assert all(o.startswith("--") for o in action.option_strings)
 
 
 def test_cli_import_leaves_process_pools_out():

@@ -45,6 +45,12 @@ COMMANDS = (
         ["entropy", "--weights=0.4,0.3,0.2,0.1", "--q", "0.5"],
         ["threshold", "--q", "2", "--direction", "edge"],
         ["threshold", "--q", "3", "--direction=1,0.5,0.2"],
+        # values that start with "-" in the two-token spelling
+        ["cond", "--xyz", "-0.1,0.2,0.3", "--q", "-0.5"],
+        ["scan", "--range", "-1:1:5", "--method", "ppt"],
+        ["threshold", "--q", "3", "--direction", "-1,0.5,0.2"],
+        # the default range
+        ["scan", "--method", "ar-scan"],
         # the raw S_q(B|A) is -inf at the end of this ray
         ["threshold", "--q", "2000", "--direction", "diag"],
         # exit 3: a grid over the cap, an unphysical state

@@ -32,7 +32,7 @@ import stat
 import sys
 from collections.abc import Iterable
 
-from .criticality import Q_MAX_DEFAULT, REFINE_TOL_DEFAULT, order_parameter
+from .criticality import Q_MAX_DEFAULT, order_parameter
 from .entropy import bell_log_pairs, conditional_entropy_bell, entropy_kernel, tsallis_entropy
 from .errors import NumericalError
 from .linalg import Spectrum
@@ -272,9 +272,8 @@ def _cmd_threshold(args) -> Iterable[str]:
 
 def _cmd_qinflex(args) -> Iterable[str]:
     s = BellDiagonalState(*args.xyz)
-    report = order_parameter(s, q_max=args.q_max, refine_tol=args.refine_tol)
-    command = {"name": "qinflex", "xyz": args.xyz, "q_max": args.q_max,
-               "refine_tol": args.refine_tol}
+    report = order_parameter(s, q_max=args.q_max)
+    command = {"name": "qinflex", "xyz": args.xyz, "q_max": args.q_max}
     payload = {
         "q_inflexion": report.q_inflexion,
         "eta": report.eta,
@@ -443,7 +442,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qinflex", help="inflexion index and order parameter eta")
     p.add_argument("--xyz", type=_xyz_type, required=True)
     p.add_argument("--q-max", type=float, default=Q_MAX_DEFAULT)
-    p.add_argument("--refine-tol", type=float, default=REFINE_TOL_DEFAULT)
     # the bracket fields are lists, which a single CSV row cannot hold
     _add_output_flags(p, formats=("json",))
     p.set_defaults(func=_cmd_qinflex)

@@ -29,15 +29,17 @@ q_max. Provided S'' is finite at both ends of the interval ending there and
 changes sign across it, the root inside is found on S'' alone by the
 package's one root finder, ``separability.secant_root``, with tol = 0: it
 ends once a secant step moves q by at most 2 ulp or the midpoint rounds onto
-an end, with q_I at the precision of the computed S'', far inside
-``refine_tol``, which is still validated and remains the promised error
-bound. States with S'' = 0 throughout, a root below Q_FLOOR, or S''
-overflowing at the end of the interval report no inflexion.
+an end, with q_I at the precision of the computed S''. States with S'' = 0
+throughout, a root below Q_FLOOR, or S'' overflowing at the end of the
+interval report no inflexion.
 
-The report depends on a state only through the multiset of its four Bell
-weights, bit for bit: the physicality test takes their ``min`` and the
-vertex test their ``max``, ``bell_log_pairs`` maps each weight on its own,
-and ``entropy_kernel`` sums its terms with the correctly rounded
+A state is a vertex when its support, the weights above ``EPS_SUPPORT``
+that ``bell_log_pairs`` keeps for the kernel, is one weight: S'' < 0 at
+every q there, so there is no sign change, and the limit convention gives
+eta = 1. The report depends on a state only through the multiset of its
+four Bell weights, bit for bit: the physicality test takes their ``min``,
+``bell_log_pairs`` tests and maps each weight on its own, and
+``entropy_kernel`` sums its terms with the correctly rounded
 ``math.fsum``, whose result does not depend on their order. Every state
 with the same sorted weights therefore gets the same bracket, the same S''
 values and the same secant path. ``eta_field`` uses this to run one search
@@ -52,14 +54,12 @@ from dataclasses import dataclass
 
 from .entropy import bell_log_pairs, entropy_kernel
 from .states import BellDiagonalState, physical_weights
-from .separability import (AxisSpec, by_weight_multiset, check_tolerance, grid_axes,
-                           grid_results, log_grid, secant_root)
+from .separability import (AxisSpec, by_weight_multiset, grid_axes, grid_results,
+                           log_grid, secant_root)
 
 Q_FLOOR = 1e-3
 Q_MAX_DEFAULT = 200.0
-REFINE_TOL_DEFAULT = 1e-8
 SEARCH_POINTS = 240
-_VERTEX_TOL = 1e-12
 _DEFAULT_SEARCH_GRID = log_grid(Q_FLOOR, Q_MAX_DEFAULT, SEARCH_POINTS)
 
 
@@ -83,8 +83,7 @@ def _check_q_max(q_max: float) -> None:
         raise ValueError(f"q_max must be finite and above {Q_FLOOR}, got {q_max!r}")
 
 
-def _search(weights, q_max: float) -> CriticalityReport:
-    pairs = bell_log_pairs(weights)
+def _search(pairs, q_max: float) -> CriticalityReport:
     if q_max == Q_MAX_DEFAULT:
         grid = _DEFAULT_SEARCH_GRID
     else:
@@ -113,33 +112,30 @@ def _search(weights, q_max: float) -> CriticalityReport:
     return CriticalityReport(None, 0.0, None, None)
 
 
-def inflexion_point(s: BellDiagonalState, q_max: float = Q_MAX_DEFAULT,
-                    refine_tol: float = REFINE_TOL_DEFAULT) -> float | None:
+def inflexion_point(s: BellDiagonalState, q_max: float = Q_MAX_DEFAULT) -> float | None:
     """Smallest q in (Q_FLOOR, q_max] where the curvature of S_q(B|A) flips.
 
     Returns None when no sign change is found; states whose inflexion sits
     beyond q_max are indistinguishable from that case by construction.
-    q_max must be finite and above Q_FLOOR, refine_tol finite and positive;
-    the result lies within refine_tol of the root of the exact S''.
+    q_max must be finite and above Q_FLOOR; the result is the root of the
+    computed S'' to a few ulp.
     """
-    return order_parameter(s, q_max, refine_tol).q_inflexion
+    return order_parameter(s, q_max).q_inflexion
 
 
-def order_parameter(s: BellDiagonalState, q_max: float = Q_MAX_DEFAULT,
-                    refine_tol: float = REFINE_TOL_DEFAULT) -> CriticalityReport:
+def order_parameter(s: BellDiagonalState, q_max: float = Q_MAX_DEFAULT) -> CriticalityReport:
     """Full inflexion report with eta = 1/(1 + q_I), or eta = 0 if absent.
 
-    The four Bell vertices short-circuit to eta = 1 (the limit value along
-    any ray into the vertex), reported with ``vertex=True``. Two states
-    whose sorted Bell weights are equal floats get equal reports (see the
-    module docstring).
+    A state whose support is a single Bell weight is a vertex: it gets
+    eta = 1 (the limit value along any ray into the vertex), reported with
+    ``vertex=True``. Two states whose sorted Bell weights are equal floats
+    get equal reports (see the module docstring).
     """
     _check_q_max(q_max)
-    check_tolerance(refine_tol, "refine_tol")
-    weights = physical_weights(s)
-    if max(weights) >= 1.0 - _VERTEX_TOL:
+    pairs = bell_log_pairs(physical_weights(s))
+    if len(pairs) == 1:
         return CriticalityReport(None, 1.0, None, None, vertex=True)
-    return _search(weights, q_max)
+    return _search(pairs, q_max)
 
 
 def eta_field(x_spec: AxisSpec, y_spec: AxisSpec, z_spec: AxisSpec,

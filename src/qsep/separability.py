@@ -98,12 +98,6 @@ class RegionGrid:
     cells: tuple[GridCell, ...]
 
 
-def check_tolerance(tol: float, name: str) -> None:
-    """Raise ValueError unless tol is finite and positive."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"{name} must be finite and positive, got {tol!r}")
-
-
 def secant_root(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float) -> float:
     """Root of f in [lo, hi], given f_lo = f(lo) and f_hi = f(hi) of opposite
     signs, by secant steps through the last two points, each measured from
@@ -326,7 +320,8 @@ def threshold_x(q: float, direction="diag", tol: float = THRESHOLD_TOL_DEFAULT) 
     """
     if not q > 1.0:
         raise ValueError(f"threshold search needs q > 1, got q = {q!r}")
-    check_tolerance(tol, "tol")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     d = _direction_vector(direction)
     t_max = _ray_extent(d)
 

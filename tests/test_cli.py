@@ -237,9 +237,6 @@ def test_exit_code_domain_errors(capsys):
     (["threshold", "--q", "2", "--tol", "0"], 3),
     (["threshold", "--q", "2", "--tol", "-1"], 3),
     (["threshold", "--q", "2", "--tol", "1e-300"], 0),
-    (["qinflex", "--xyz", "0.5,0.5,0.5", "--refine-tol", "0"], 3),
-    (["qinflex", "--xyz", "0.5,0.5,0.5", "--refine-tol", "-1"], 3),
-    (["qinflex", "--xyz", "0.5,0.5,0.5", "--refine-tol", "1e-300"], 0),
     (["qinflex", "--xyz", "0.5,0.5,0.5", "--q-max", "0.0001"], 3),
     (["classify", "--xyz", "0.2,0.2,0.2", "--boundary-tol", "-1"], 3),
     (["classify", "--xyz", "0.2,0.2,0.2", "--boundary-tol", "nan"], 3),
@@ -277,6 +274,8 @@ def test_exit_code_usage_errors(capsys):
     assert run_cli(capsys, "threshold", "--q", "2", "--direction", "north")[0] == 2
     # the qinflex payload holds lists, which one CSV row cannot
     assert run_cli(capsys, "qinflex", "--xyz", "0.6,0.6,0.6", "--format", "csv")[0] == 2
+    # the inflexion search has no tolerance to set
+    assert run_cli(capsys, "qinflex", "--xyz", "0.5,0.5,0.5", "--refine-tol", "1e-8")[0] == 2
     assert run_cli(capsys, "nonsense")[0] == 2
     # "--" ends the options: the flag before it has no value
     assert run_cli(capsys, "cond", "--xyz", "0,0,0", "--q", "--")[0] == 2

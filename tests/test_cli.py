@@ -237,6 +237,11 @@ def test_exit_code_domain_errors(capsys):
     (["threshold", "--q", "2", "--tol", "0"], 3),
     (["threshold", "--q", "2", "--tol", "-1"], 3),
     (["threshold", "--q", "2", "--tol", "1e-300"], 0),
+    # threshold_x checks its own tol: non-finite values are refused
+    (["threshold", "--q", "2", "--tol", "nan"], 3),
+    (["threshold", "--q", "2", "--tol", "inf"], 3),
+    # a band below the float spacing of the boundary still classifies
+    (["classify", "--xyz", "0.2,0.2,0.2", "--boundary-tol", "1e-300"], 0),
     (["qinflex", "--xyz", "0.5,0.5,0.5", "--q-max", "0.0001"], 3),
     (["classify", "--xyz", "0.2,0.2,0.2", "--boundary-tol", "-1"], 3),
     (["classify", "--xyz", "0.2,0.2,0.2", "--boundary-tol", "nan"], 3),

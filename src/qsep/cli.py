@@ -48,7 +48,7 @@ from .separability import (
     grid_results,
     threshold_x,
 )
-from .states import BellDiagonalState, bell_weights, physical_weights
+from .states import BellDiagonalState, bell_spectrum, bell_weights
 
 FORMAT_VERSION = "qsep/1"
 
@@ -223,8 +223,7 @@ def _cmd_entropy(args) -> Iterable[str]:
         joint = Spectrum.from_values(args.weights, stochastic=True)
         source = {"weights": args.weights}
     else:
-        s = BellDiagonalState(*args.xyz)
-        joint = Spectrum.from_values(physical_weights(s), stochastic=True)
+        joint = bell_spectrum(BellDiagonalState(*args.xyz))
         source = {"xyz": args.xyz}
     marginal = tsallis_entropy(Spectrum.uniform(2), q)  # both marginals are maximally mixed
     command = {"name": "entropy", **source, "q": q}
@@ -400,6 +399,12 @@ def _add_output_flags(parser, formats=("json", "csv")) -> None:
                             help="output format (default json)")
 
 
+def _add_band_flags(parser) -> None:
+    parser.add_argument("--method", choices=tuple(DEFAULT_BOUNDARY_TOL), default="ar-asymptotic")
+    parser.add_argument("--boundary-tol", type=float, default=None,
+                        help="width of the boundary verdict band")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsep",
@@ -424,9 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="separability verdict for a state")
     p.add_argument("--xyz", type=_xyz_type, required=True)
-    p.add_argument("--method", choices=tuple(DEFAULT_BOUNDARY_TOL), default="ar-asymptotic")
-    p.add_argument("--boundary-tol", type=float, default=None,
-                   help="width of the boundary verdict band")
+    _add_band_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_classify)
 
@@ -458,8 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xrange", type=_range_type, default=None)
     p.add_argument("--yrange", type=_range_type, default=None)
     p.add_argument("--zrange", type=_range_type, default=None)
-    p.add_argument("--method", choices=tuple(DEFAULT_BOUNDARY_TOL), default="ar-asymptotic")
-    p.add_argument("--boundary-tol", type=float, default=None)
+    _add_band_flags(p)
     p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     _add_output_flags(p, formats=())
     p.set_defaults(func=_cmd_scan)

@@ -15,8 +15,14 @@ Three routes, deliberately independent of each other:
   minimum is first reached. The scan can only confirm an asymptotic
   "entangled" verdict, never override it.
 
-``DEFAULT_BOUNDARY_TOL`` maps each method of ``classify_state`` to its
-default verdict band, and ``boundary_tol_for`` resolves and checks both.
+Each input rule has one owner. ``DEFAULT_BOUNDARY_TOL`` maps each method
+of ``classify_state`` to its default verdict band, and ``boundary_tol_for``
+is the one place that picks a default band or rejects one: each classifier
+takes ``boundary_tol=None`` and resolves it there. The max-weight test
+(max w - 1/2, in the ar-asymptotic band) is written once, for
+``ar_classify_asymptotic``, ``ar_classify_scan``'s cross-check and the test
+at the end of a ``threshold_x`` ray. Each entry point that takes a
+Bell-diagonal state checks it once, through ``states.physical_weights``.
 ``threshold_x`` finds where a parameter ray leaves the region with
 nonnegative conditional entropy at fixed q, and ``region_scan`` sweeps a
 Cartesian grid with a chosen classifier. ``secant_root`` is the one root
@@ -139,28 +145,22 @@ def secant_root(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float) -
     return 0.5 * (lo + hi)
 
 
-def check_boundary_tol(boundary_tol: float) -> None:
-    """Raise ValueError unless boundary_tol is finite and nonnegative."""
-    if not (math.isfinite(boundary_tol) and boundary_tol >= 0.0):
-        raise ValueError(f"boundary_tol must be finite and nonnegative, got {boundary_tol!r}")
-
-
 def boundary_tol_for(method: str, boundary_tol: float | None = None) -> float:
-    """The band ``classify_state(s, method, boundary_tol)`` applies: the
-    method's DEFAULT_BOUNDARY_TOL when boundary_tol is None. ValueError for
-    an unknown method or a band that is not finite and nonnegative."""
+    """The band ``method`` applies: its DEFAULT_BOUNDARY_TOL when
+    boundary_tol is None. ValueError for an unknown method or a band that is
+    not finite and nonnegative. Every classifier resolves its band here."""
     try:
         default = DEFAULT_BOUNDARY_TOL[method]
     except KeyError:
         raise ValueError(f"unknown classification method {method!r}") from None
     if boundary_tol is None:
         return default
-    check_boundary_tol(boundary_tol)
+    if not (math.isfinite(boundary_tol) and boundary_tol >= 0.0):
+        raise ValueError(f"boundary_tol must be finite and nonnegative, got {boundary_tol!r}")
     return boundary_tol
 
 
-def _banded_verdict(witness: float, criterion: str, boundary_tol: float,
-                    witness_q: float | None = None) -> Classification:
+def _banded_verdict(witness: float, criterion: str, boundary_tol: float) -> Classification:
     # Positive witness means entangled for every criterion normalised here.
     if witness > boundary_tol:
         verdict = "entangled"
@@ -168,25 +168,30 @@ def _banded_verdict(witness: float, criterion: str, boundary_tol: float,
         verdict = "separable"
     else:
         verdict = "boundary"
-    return Classification(verdict=verdict, criterion=criterion,
-                          witness=witness, witness_q=witness_q)
+    return Classification(verdict=verdict, criterion=criterion, witness=witness)
+
+
+def _max_weight_verdict(weights, boundary_tol: float) -> Classification:
+    # the paper's large-q rule: entangled iff some Bell weight exceeds 1/2
+    return _banded_verdict(max(weights) - 0.5, "ar-asymptotic", boundary_tol)
 
 
 def ppt_classify(state: TwoQubitState | np.ndarray,
-                 boundary_tol: float = BOUNDARY_TOL_ANALYTIC) -> Classification:
-    """Exact Peres test: sign of the smallest partial-transpose eigenvalue.
+                 boundary_tol: float | None = None) -> Classification:
+    """Exact Peres test: sign of the smallest partial-transpose eigenvalue,
+    in the band ``boundary_tol_for("ppt", boundary_tol)``.
 
     The witness is the most negative eigenvalue of the partial transpose
     (negated margin when all are positive), so positive witness = entangled.
     """
-    check_boundary_tol(boundary_tol)
+    tol = boundary_tol_for("ppt", boundary_tol)
     if not isinstance(state, TwoQubitState):
         state = TwoQubitState.from_matrix(state)
     pt = partial_transpose(state.matrix, on="B")
     spectrum = hermitian_eigenvalues(pt)
     min_eig = spectrum.values[-1]
     # 0.0 - min_eig rather than -min_eig: a zero witness is +0.0, never -0.0
-    return _banded_verdict(0.0 - min_eig, "ppt", boundary_tol)
+    return _banded_verdict(0.0 - min_eig, "ppt", tol)
 
 
 def ar_residual(s: BellDiagonalState, q: float) -> float:
@@ -197,11 +202,10 @@ def ar_residual(s: BellDiagonalState, q: float) -> float:
 
 
 def ar_classify_asymptotic(s: BellDiagonalState,
-                           boundary_tol: float = BOUNDARY_TOL_ANALYTIC) -> Classification:
+                           boundary_tol: float | None = None) -> Classification:
     """Large-q limit of the entropic criterion: max Bell weight versus 1/2."""
-    check_boundary_tol(boundary_tol)
-    witness = max(physical_weights(s)) - 0.5
-    return _banded_verdict(witness, "ar-asymptotic", boundary_tol)
+    tol = boundary_tol_for("ar-asymptotic", boundary_tol)
+    return _max_weight_verdict(physical_weights(s), tol)
 
 
 def _linspace(lo: float, hi: float, count: int) -> tuple[float, ...]:
@@ -235,7 +239,7 @@ _DEFAULT_Q_GRID = default_q_grid()
 
 def ar_classify_scan(s: BellDiagonalState,
                      q_grid: tuple[float, ...] | None = None,
-                     boundary_tol: float = BOUNDARY_TOL_SCAN) -> Classification:
+                     boundary_tol: float | None = None) -> Classification:
     """Scan S_q(B|A) over a q grid; entangled iff any sample is negative.
 
     S_q(B|A) decreases in q: S'(q) = -sum_k w_k L_k^2 phi_1((q-1) L_k) with
@@ -248,10 +252,11 @@ def ar_classify_scan(s: BellDiagonalState,
     ascending grid such as the default, witness_q is then the first minimal
     sample a linear scan would meet. Grid samples must be finite.
 
-    The exact asymptotic test runs alongside: if it says entangled while the
-    scan sees nothing, its verdict wins (reported under its own criterion).
+    When the scan sees nothing, the exact asymptotic test decides, in the
+    ar-asymptotic band: an entangled or boundary verdict of it wins
+    (reported under its own criterion).
     """
-    check_boundary_tol(boundary_tol)
+    tol = boundary_tol_for("ar-scan", boundary_tol)
     weights = physical_weights(s)
     if q_grid is None:
         grid = _DEFAULT_Q_GRID
@@ -270,10 +275,10 @@ def ar_classify_scan(s: BellDiagonalState,
         first = bisect_left(grid, True, hi=len(grid) - 1,
                             key=lambda q: entropy_kernel(pairs, q) <= min_value)
         min_q = grid[first]
-    asymptotic = ar_classify_asymptotic(s, BOUNDARY_TOL_ANALYTIC)
-    if min_value < -boundary_tol:
+    if min_value < -tol:
         return Classification("entangled", "ar-scan", min_value, min_q)
-    if asymptotic.verdict in ("entangled", "boundary"):
+    asymptotic = _max_weight_verdict(weights, boundary_tol_for("ar-asymptotic"))
+    if asymptotic.verdict != "separable":
         return asymptotic
     return Classification("separable", "ar-scan", min_value, min_q)
 
@@ -314,8 +319,9 @@ def threshold_x(q: float, direction="diag", tol: float = THRESHOLD_TOL_DEFAULT) 
     ``secant_root`` finds it to within tol along t * direction, on
     ``log_residual``: the sign of -S_q(B|A) at the size of q ln(2 w). When
     the whole physical segment keeps nonnegative conditional entropy, the
-    ray either grazes the critical surface exactly at the physical boundary
-    (the boundary parameter is returned) or never reaches it (BracketError).
+    ray either grazes the critical surface at the physical boundary, where
+    the largest weight is 1/2 within the ar-asymptotic band (the boundary
+    parameter is returned), or never reaches it (BracketError).
     tol must be finite and positive.
     """
     if not q > 1.0:
@@ -331,9 +337,12 @@ def threshold_x(q: float, direction="diag", tol: float = THRESHOLD_TOL_DEFAULT) 
     # the ray starts at the maximally mixed state, where it is (1 - q) ln 2 < 0
     start, end = residual(0.0), residual(t_max)
     if not end > 0.0:
-        # No crossing inside the physical segment. If the endpoint sits on
-        # the exact critical surface the threshold is the physical boundary.
-        if max(xyz_weights(t_max * d[0], t_max * d[1], t_max * d[2])) >= 0.5 - BOUNDARY_TOL_ANALYTIC:
+        # No crossing inside the physical segment. If the endpoint is not
+        # separable in the ar-asymptotic band, it sits on the critical
+        # surface, and the threshold is the physical boundary.
+        edge = _max_weight_verdict(xyz_weights(t_max * d[0], t_max * d[1], t_max * d[2]),
+                                   boundary_tol_for("ar-asymptotic"))
+        if edge.verdict != "separable":
             return t_max
         raise BracketError("ray never crosses the q-threshold surface")
     return secant_root(residual, 0.0, t_max, start, end, tol)

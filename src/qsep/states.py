@@ -86,8 +86,8 @@ def bell_weights(s: BellDiagonalState) -> tuple[float, float, float, float]:
 
 
 def bell_spectrum(s: BellDiagonalState) -> Spectrum:
-    """Sorted probability spectrum of a Bell-diagonal state."""
-    return Spectrum.from_values(bell_weights(s), stochastic=True)
+    """Sorted probability spectrum of a physical Bell-diagonal state."""
+    return Spectrum.from_values(physical_weights(s), stochastic=True)
 
 
 def nonnegative_weights(weights) -> bool:

@@ -1,7 +1,9 @@
 """Structure checks over the package sources: no private helper crosses a
 module boundary, only ``states`` calls ``is_physical`` and names
-``WEIGHT_TOL``, and only ``separability`` names the default verdict bands,
-enumerates a grid and keys a result by its Bell-weight multiset."""
+``WEIGHT_TOL``, the default verdict bands are named only in their
+definitions and in ``separability.DEFAULT_BOUNDARY_TOL``, and only
+``separability`` enumerates a grid and keys a result by its Bell-weight
+multiset."""
 
 import ast
 from pathlib import Path
@@ -69,14 +71,30 @@ def test_only_states_names_weight_tol():
     assert namers == ["states.py"]
 
 
+def _band_named(node) -> str | None:
+    # the id of a Name, the attr of an Attribute, the name of an import alias
+    names = (getattr(node, field, None) for field in ("id", "attr", "name"))
+    return next((n for n in names if n in ("BOUNDARY_TOL_ANALYTIC", "BOUNDARY_TOL_SCAN")), None)
+
+
 def test_only_separability_names_the_default_bands():
-    bands = {"BOUNDARY_TOL_ANALYTIC", "BOUNDARY_TOL_SCAN"}
-    namers = {
-        name
-        for name, tree in _trees()
-        for node in ast.walk(tree)
-        if (isinstance(node, ast.Name) and node.id in bands)
-        or (isinstance(node, ast.Attribute) and node.attr in bands)
-        or (isinstance(node, ast.alias) and node.name in bands)
-    }
-    assert namers == {"separability.py"}
+    # each band is named in its own definition and in DEFAULT_BOUNDARY_TOL,
+    # nowhere else: every other use takes its band from boundary_tol_for
+    owners = ("BOUNDARY_TOL_ANALYTIC", "BOUNDARY_TOL_SCAN", "DEFAULT_BOUNDARY_TOL")
+    owned, stray = [], []
+    for name, tree in _trees():
+        allowed = {
+            id(child)
+            for node in ast.walk(tree)
+            if name == "separability.py" and isinstance(node, ast.Assign)
+            and len(node.targets) == 1 and getattr(node.targets[0], "id", None) in owners
+            for child in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            band = _band_named(node)
+            if band and id(node) in allowed:
+                owned.append(band)
+            elif band:
+                stray.append(f"{name}:{node.lineno}: {band}")
+    assert stray == []
+    assert sorted(owned) == ["BOUNDARY_TOL_ANALYTIC"] * 3 + ["BOUNDARY_TOL_SCAN"] * 2

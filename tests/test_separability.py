@@ -375,6 +375,25 @@ def test_threshold_raises_when_ray_misses_surface():
         threshold_x(2.0, (-1.0, -1.0, -1.0))
 
 
+@pytest.mark.parametrize("y, on_surface", [
+    (-(1.0 - 4.0 * 0.99e-9), True),
+    (-(1.0 - 4.0 * 1.01e-9), False),
+    (1.0 - 4.0 * (0.5 - 1e-9), False),  # the largest weight is the float 0.5 - 1e-9
+], ids=["delta=0.99e-9", "delta=1.01e-9", "band-edge"])
+def test_threshold_end_of_ray_test_is_the_asymptotic_band(y, on_surface):
+    # At t = 1 on (1, y, 0), y = -(1 - 4 delta), the weights are (0, 1/2 -
+    # delta, 1/4, 1/4 + delta): no q = 2 crossing, and the ray's end is on
+    # the critical surface exactly when ar-asymptotic does not call it separable.
+    direction = (1.0, y, 0.0)
+    assert (ar_classify_asymptotic(BellDiagonalState(*direction)).verdict
+            != "separable") == on_surface
+    if on_surface:
+        assert threshold_x(2.0, direction) == 1.0
+    else:
+        with pytest.raises(BracketError):
+            threshold_x(2.0, direction)
+
+
 def test_threshold_input_validation():
     with pytest.raises(ValueError):
         threshold_x(1.0, "diag")
@@ -727,6 +746,25 @@ def test_boundary_tol_for_resolves_each_method_once():
     for tol in (None, 1e-3, -1.0):
         with pytest.raises(ValueError, match="unknown classification method"):
             boundary_tol_for("majorization", tol)
+
+
+def test_every_classifier_takes_its_default_band_from_the_table(monkeypatch):
+    # A band of 1/4 turns werner(0.2) (witness -0.1) into a boundary state, and
+    # hands werner(0.34)'s scan verdict (witness about -0.013) to the
+    # asymptotic cross-check.
+    separable, entangled = werner(0.2), werner(0.34)
+    assert ppt_classify(bell_diagonal_density(separable)).verdict == "separable"
+    assert ar_classify_asymptotic(separable).verdict == "separable"
+    assert ar_classify_scan(entangled).criterion == "ar-scan"
+    for method in DEFAULT_BOUNDARY_TOL:
+        monkeypatch.setitem(DEFAULT_BOUNDARY_TOL, method, 0.25)
+    assert ppt_classify(bell_diagonal_density(separable)).verdict == "boundary"
+    assert ar_classify_asymptotic(separable).verdict == "boundary"
+    assert ar_classify_scan(entangled).criterion == "ar-asymptotic"
+    for classify, state in ((ppt_classify, bell_diagonal_density(separable)),
+                            (ar_classify_asymptotic, separable), (ar_classify_scan, separable)):
+        with pytest.raises(ValueError, match="boundary_tol must be finite and nonnegative"):
+            classify(state, boundary_tol=-1.0)
 
 
 def test_region_scan_methods_agree_off_boundary():

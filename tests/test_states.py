@@ -1,12 +1,15 @@
 """Unit tests for the Bell basis and the Bell-diagonal state family."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
 import helpers
+import qsep.cli  # noqa: F401 - loads every package module for the counting test
+import qsep.states
 from qsep import (
     BellDiagonalState,
     TwoQubitState,
@@ -18,6 +21,7 @@ from qsep import (
     bell_projectors,
     bell_spectrum,
     bell_weights,
+    classify_state,
     conditional_entropy_bell,
     inflexion_point,
     is_physical,
@@ -163,6 +167,7 @@ VALIDATING_ENTRY_POINTS = {
     "order_parameter": order_parameter,
     "inflexion_point": inflexion_point,
     "bell_diagonal_density": bell_diagonal_density,
+    "bell_spectrum": bell_spectrum,
 }
 
 
@@ -175,6 +180,52 @@ def test_every_entry_point_names_the_negative_weights(xyz, entry):
     with pytest.raises(UnphysicalStateError) as info:
         VALIDATING_ENTRY_POINTS[entry](s)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("x, message", [
+    (2.0, "weight[phi+] = -0.25 is negative"),
+    # inside a spectrum's own 1e-9 tolerance, but below -WEIGHT_TOL
+    (1.0 + 4e-10, "weight[phi+] = -1e-10 is negative"),
+], ids=["phi+=-0.25", "phi+=-1e-10"])
+def test_bell_spectrum_rejects_what_the_conditional_entropy_rejects(x, message):
+    s = BellDiagonalState(x, 0.0, 0.0)
+    for entry in (bell_spectrum, lambda s: conditional_entropy_bell(s, 2.0)):
+        with pytest.raises(UnphysicalStateError) as info:
+            entry(s)
+        assert str(info.value) == message
+
+
+CHECKED_ONCE = {
+    "classify_state[ppt]": lambda s: classify_state(s, "ppt"),
+    "classify_state[ar-asymptotic]": lambda s: classify_state(s, "ar-asymptotic"),
+    "classify_state[ar-scan]": lambda s: classify_state(s, "ar-scan"),
+    "conditional_entropy_bell": lambda s: conditional_entropy_bell(s, 2.0),
+    "order_parameter": order_parameter,
+    "ar_residual": lambda s: ar_residual(s, 2.0),
+    "bell_diagonal_density": bell_diagonal_density,
+    "bell_spectrum": bell_spectrum,
+}
+
+
+@pytest.mark.parametrize("entry", CHECKED_ONCE)
+def test_each_entry_point_checks_physicality_once(entry, monkeypatch):
+    original = qsep.states.physical_weights
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return original(s)
+
+    patched = sorted(name for name, module in list(sys.modules.items())
+                     if name.split(".")[0] == "qsep"
+                     and getattr(module, "physical_weights", None) is original)
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "physical_weights", counting)
+    assert {"qsep.criticality", "qsep.entropy", "qsep.separability",
+            "qsep.states"} <= set(patched)
+    s = BellDiagonalState(0.1, -0.2, 0.3)
+    CHECKED_ONCE[entry](s)
+    assert calls == [s]
 
 
 def test_state_parameters_coerced_and_finite():

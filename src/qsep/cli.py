@@ -48,7 +48,7 @@ from .separability import (
     grid_results,
     threshold_x,
 )
-from .states import BellDiagonalState, bell_spectrum, bell_weights
+from .states import BellDiagonalState, bell_spectrum, bell_weights, checked_weights
 
 FORMAT_VERSION = "qsep/1"
 
@@ -220,7 +220,7 @@ def _range_type(text: str) -> tuple[float, float, int]:
 def _cmd_entropy(args) -> Iterable[str]:
     q = args.q
     if args.weights is not None:
-        joint = Spectrum.from_values(args.weights, stochastic=True)
+        joint = Spectrum.from_values(checked_weights(args.weights), stochastic=True)
         source = {"weights": args.weights}
     else:
         joint = bell_spectrum(BellDiagonalState(*args.xyz))

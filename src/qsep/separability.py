@@ -11,9 +11,10 @@ Three routes, deliberately independent of each other:
   symmetry images out of the physical tetrahedron.
 * ``ar_classify_scan`` samples the conditional entropy over a q grid and
   flags entanglement when any sample is negative. Since S_q(B|A) falls in
-  q, it evaluates the grid's largest q and binary-searches where the
-  minimum is first reached. The scan can only confirm an asymptotic
-  "entangled" verdict, never override it.
+  q, it evaluates the grid's largest q and the one below it; only when
+  those two tie (a flat curve, or samples overflowing to -inf) does it
+  binary-search where the minimum is first reached. The scan can only
+  confirm an asymptotic "entangled" verdict, never override it.
 
 Each input rule has one owner. ``DEFAULT_BOUNDARY_TOL`` maps each method
 of ``classify_state`` to its default verdict band, and ``boundary_tol_for``
@@ -245,12 +246,15 @@ def ar_classify_scan(s: BellDiagonalState,
     S_q(B|A) decreases in q: S'(q) = -sum_k w_k L_k^2 phi_1((q-1) L_k) with
     phi_1 > 0, and it is flat only where every weight on the support is 1/2.
     So the smallest sample, the witness, is the one at the grid's largest q.
-    witness_q is the smallest grid q whose sample is no larger than that,
-    found by binary search over the sorted grid: about log2(len) kernel
-    calls. Ties arise where the samples overflow to -inf (a Bell weight
-    above about 0.71 at q in the thousands) and on the flat curve; for an
-    ascending grid such as the default, witness_q is then the first minimal
-    sample a linear scan would meet. Grid samples must be finite.
+    witness_q is the smallest grid q whose sample is no larger than that.
+    On a strictly falling curve the sample below the top is larger, so two
+    kernel calls settle the cell (one on a one-sample grid). Only when that
+    sample ties the minimum, on the flat curve or where the samples
+    overflow to -inf (a Bell weight above about 0.71 at q in the
+    thousands), does a binary search over the rest of the sorted grid find
+    the first tie; for an ascending grid such as the default, witness_q is
+    then the first minimal sample a linear scan would meet. Grid samples
+    must be finite.
 
     When the scan sees nothing, the exact asymptotic test decides, in the
     ar-asymptotic band: an entangled or boundary verdict of it wins
@@ -271,10 +275,12 @@ def ar_classify_scan(s: BellDiagonalState,
     if min_value == math.inf:
         # every sample diverges (only possible below q = 1): none is a minimum
         min_q = None
-    else:
-        first = bisect_left(grid, True, hi=len(grid) - 1,
+    elif len(grid) > 1 and entropy_kernel(pairs, grid[-2]) <= min_value:
+        first = bisect_left(grid, True, hi=len(grid) - 2,
                             key=lambda q: entropy_kernel(pairs, q) <= min_value)
         min_q = grid[first]
+    else:
+        min_q = grid[-1]
     if min_value < -tol:
         return Classification("entangled", "ar-scan", min_value, min_q)
     asymptotic = _max_weight_verdict(weights, boundary_tol_for("ar-asymptotic"))

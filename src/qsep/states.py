@@ -14,7 +14,8 @@ matrix from its weights rather than summing projectors.
 
 Physical states fill the tetrahedron x, y, z <= 1 with x + y + z >= -1,
 whose vertices map to the four Bell projectors. ``nonnegative_weights`` is
-the one statement of that rule, and ``physical_weights`` is the one
+the one statement of that rule. ``checked_weights`` applies it to four
+weights, however they came in, and ``physical_weights`` is the one
 physicality check of every public entry point that takes a state.
 """
 
@@ -95,23 +96,29 @@ def nonnegative_weights(weights) -> bool:
     return min(weights) >= -WEIGHT_TOL
 
 
+def _violations(weights) -> tuple[str, ...]:
+    return tuple(f"weight[{label}] = {w:.6g} is negative"
+                 for label, w in zip(WEIGHT_LABELS, weights) if w < -WEIGHT_TOL)
+
+
 def is_physical(s: BellDiagonalState) -> PhysicalityCheck:
     """Check all four weights are nonnegative within WEIGHT_TOL."""
-    weights = bell_weights(s)
-    if nonnegative_weights(weights):
-        return PhysicalityCheck(ok=True, violations=())
-    violations = tuple(f"weight[{label}] = {w:.6g} is negative"
-                       for label, w in zip(WEIGHT_LABELS, weights) if w < -WEIGHT_TOL)
-    return PhysicalityCheck(ok=False, violations=violations)
+    violations = _violations(bell_weights(s))
+    return PhysicalityCheck(ok=not violations, violations=violations)
+
+
+def checked_weights(weights):
+    """Four Bell weights in canonical order, returned as given, or
+    UnphysicalStateError naming each one below -WEIGHT_TOL (the messages
+    of ``is_physical``)."""
+    if not nonnegative_weights(weights):
+        raise UnphysicalStateError("; ".join(_violations(weights)))
+    return weights
 
 
 def physical_weights(s: BellDiagonalState) -> tuple[float, float, float, float]:
-    """bell_weights(s), or UnphysicalStateError naming each weight below
-    -WEIGHT_TOL (the message ``is_physical`` builds; it is called only then)."""
-    weights = bell_weights(s)
-    if not nonnegative_weights(weights):
-        raise UnphysicalStateError("; ".join(is_physical(s).violations))
-    return weights
+    """bell_weights(s), checked by ``checked_weights``."""
+    return checked_weights(bell_weights(s))
 
 
 def bell_projectors() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

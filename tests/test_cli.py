@@ -106,12 +106,17 @@ def test_entropy_from_weights_and_from_parameters(capsys):
     assert payload["S_q_A"] == pytest.approx(math.log(2.0), abs=1e-15)
 
 
-@pytest.mark.parametrize("xyz", ["1,1,-3.5", "1.5,1.5,0"])
+@pytest.mark.parametrize("xyz", ["1,1,-3.5", "1.5,1.5,0", "1.0000000004,0,0"])
 def test_entropy_of_an_unphysical_state_names_its_weights(capsys, xyz):
-    code, out, err = run_cli(capsys, "entropy", f"--xyz={xyz}", "--q", "2")
+    # the same weights through --weights meet the same rule; the last state's
+    # weight[phi+] = -1e-10 is inside Spectrum's 1e-9 tolerance but below
+    # -WEIGHT_TOL, so neither flag may print its negative entropy
     s = BellDiagonalState(*map(float, xyz.split(",")))
-    assert (code, out) == (3, "")
-    assert err == "error: " + "; ".join(is_physical(s).violations) + "\n"
+    weights = ",".join(map(repr, bell_weights(s)))
+    for flag in (f"--xyz={xyz}", f"--weights={weights}"):
+        code, out, err = run_cli(capsys, "entropy", flag, "--q", "2")
+        assert (code, out) == (3, "")
+        assert err == "error: " + "; ".join(is_physical(s).violations) + "\n"
 
 
 def test_entropy_csv_format(capsys):

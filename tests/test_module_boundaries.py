@@ -1,5 +1,6 @@
 """Structure checks over the package sources: no private helper crosses a
-module boundary, only ``states`` calls ``is_physical`` and names
+module boundary, no module calls ``is_physical`` (the package checks
+weights through ``states.checked_weights``), only ``states`` names
 ``WEIGHT_TOL``, the default verdict bands are named only in their
 definitions and in ``separability.DEFAULT_BOUNDARY_TOL``, and only
 ``separability`` enumerates a grid and keys a result by its Bell-weight
@@ -38,7 +39,7 @@ def test_only_states_calls_is_physical():
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "is_physical"
     )
-    assert callers == ["states.py"]
+    assert callers == []
 
 
 def _called(node, name: str) -> bool:

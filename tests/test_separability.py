@@ -274,21 +274,28 @@ def test_scan_with_every_sample_divergent_has_no_location():
 
 
 def test_scan_evaluates_few_samples(monkeypatch):
-    # S_q(B|A) falls with q, so the minimum is the last sample and its first
-    # occurrence is a binary search away: at most 8 kernel calls, not 64.
+    # S_q(B|A) falls strictly with q, so the minimum is the last sample and
+    # the one below it is larger: two kernel calls, not 64. A flat curve
+    # ties there and binary-searches the rest: at most 8 calls.
     calls = []
 
     def counting_kernel(pairs, q, n=0):
         calls.append(q)
         return entropy_kernel(pairs, q, n)
 
-    monkeypatch.setattr(qsep.separability, "entropy_kernel", counting_kernel)
-    states = [werner(0.2), werner(0.6), BellDiagonalState(0.3, -0.2, 0.1)]
-    states += [helpers.state_from_weights(w) for w in EDGE_WEIGHTS]
-    for s in states:
+    def scan_calls(s, q_grid=None):
         calls.clear()
-        ar_classify_scan(s)
-        assert 0 < len(calls) <= 8
+        ar_classify_scan(s, q_grid)
+        return list(calls)
+
+    monkeypatch.setattr(qsep.separability, "entropy_kernel", counting_kernel)
+    for s in (werner(0.2), werner(0.6), BellDiagonalState(0.3, -0.2, 0.1)):
+        assert scan_calls(s) == [200.0, default_q_grid()[-2]]
+        assert scan_calls(s, (2.0,)) == [2.0]
+    for w in EDGE_WEIGHTS:
+        assert len(scan_calls(helpers.state_from_weights(w))) <= 8
+    # S_q = 0 at every q: the top two samples tie and the search runs
+    assert len(scan_calls(helpers.state_from_weights(EDGE_WEIGHTS[0]))) > 2
 
 
 def test_threshold_diagonal_at_q_two():

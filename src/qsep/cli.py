@@ -37,7 +37,7 @@ from .entropy import bell_log_pairs, conditional_entropy_bell, entropy_kernel, t
 from .errors import NumericalError
 from .linalg import Spectrum
 from .separability import (
-    DEFAULT_BOUNDARY_TOL,
+    CLASSIFIERS,
     NAMED_DIRECTIONS,
     THRESHOLD_TOL_DEFAULT,
     ar_classify_asymptotic,
@@ -124,7 +124,7 @@ def _csv_document(header, rows) -> Iterable[str]:
 
 
 def _scalar_document(args, command: dict, payload: dict) -> Iterable[str]:
-    if getattr(args, "format", "json") == "csv":
+    if args.format == "csv":
         return _csv_document(list(payload), [tuple(payload.values())])
     record = {"format": FORMAT_VERSION, "command": command, "payload": payload}
     return (_render_json(record, 0) + "\n",)
@@ -400,7 +400,7 @@ def _add_output_flags(parser, formats=("json", "csv")) -> None:
 
 
 def _add_band_flags(parser) -> None:
-    parser.add_argument("--method", choices=tuple(DEFAULT_BOUNDARY_TOL), default="ar-asymptotic")
+    parser.add_argument("--method", choices=tuple(CLASSIFIERS), default="ar-asymptotic")
     parser.add_argument("--boundary-tol", type=float, default=None,
                         help="width of the boundary verdict band")
 

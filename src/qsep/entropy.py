@@ -106,13 +106,17 @@ def tsallis_entropy(s: Spectrum, q: float) -> float:
     """Entropy of a probability spectrum at entropic index q.
 
     Rank-deficient spectra are evaluated on their support, which keeps
-    q <= 0 finite. The result is nonnegative for every q.
+    q <= 0 finite. The support is divided by its own sum, so that no
+    probability exceeds 1 where a stochastic spectrum sums to just above 1:
+    the result is nonnegative for every q.
     """
     if not s.stochastic:
         raise ValueError("tsallis_entropy requires a stochastic spectrum")
     if not math.isfinite(q):
         raise ValueError("q must be finite")
-    return entropy_kernel([(p, math.log(p)) for p in s.values if p > EPS_SUPPORT], q)
+    support = [p for p in s.values if p > EPS_SUPPORT]
+    total = math.fsum(support)
+    return entropy_kernel([(p / total, math.log(p / total)) for p in support], q)
 
 
 def pseudoadditive_combine(sa: float, sb: float, q: float) -> float:

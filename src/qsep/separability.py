@@ -16,10 +16,12 @@ Three routes, deliberately independent of each other:
   binary-search where the minimum is first reached. The scan can only
   confirm an asymptotic "entangled" verdict, never override it.
 
-Each input rule has one owner. ``DEFAULT_BOUNDARY_TOL`` maps each method
-of ``classify_state`` to its default verdict band, and ``boundary_tol_for``
-is the one place that picks a default band or rejects one: each classifier
-takes ``boundary_tol=None`` and resolves it there. The max-weight test
+Each input rule has one owner. ``CLASSIFIERS`` maps each method of
+``classify_state`` to its classifier of a Bell-diagonal state and to its
+default verdict band, and ``boundary_tol_for`` is the one place that picks
+a default band or rejects one: each classifier takes ``boundary_tol=None``
+and resolves it there, once per call, as ``classify_state`` passes the band
+through unresolved. The max-weight test
 (max w - 1/2, in the ar-asymptotic band) is written once, for
 ``ar_classify_asymptotic``, ``ar_classify_scan``'s cross-check and the test
 at the end of a ``threshold_x`` ray. Each entry point that takes a
@@ -60,11 +62,6 @@ if TYPE_CHECKING:
 
 BOUNDARY_TOL_ANALYTIC = 1e-9
 BOUNDARY_TOL_SCAN = 1e-7
-DEFAULT_BOUNDARY_TOL = {
-    "ppt": BOUNDARY_TOL_ANALYTIC,
-    "ar-asymptotic": BOUNDARY_TOL_ANALYTIC,
-    "ar-scan": BOUNDARY_TOL_SCAN,
-}
 NAMED_DIRECTIONS = {
     "diag": (1.0, 1.0, 1.0),
     "axis": (1.0, 0.0, 0.0),
@@ -146,14 +143,17 @@ def secant_root(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float) -
     return 0.5 * (lo + hi)
 
 
+def _method_entry(method: str):
+    if method not in CLASSIFIERS:
+        raise ValueError(f"unknown classification method {method!r}")
+    return CLASSIFIERS[method]
+
+
 def boundary_tol_for(method: str, boundary_tol: float | None = None) -> float:
-    """The band ``method`` applies: its DEFAULT_BOUNDARY_TOL when
+    """The band ``method`` applies: its default band in CLASSIFIERS when
     boundary_tol is None. ValueError for an unknown method or a band that is
     not finite and nonnegative. Every classifier resolves its band here."""
-    try:
-        default = DEFAULT_BOUNDARY_TOL[method]
-    except KeyError:
-        raise ValueError(f"unknown classification method {method!r}") from None
+    default = _method_entry(method)[1]
     if boundary_tol is None:
         return default
     if not (math.isfinite(boundary_tol) and boundary_tol >= 0.0):
@@ -161,20 +161,19 @@ def boundary_tol_for(method: str, boundary_tol: float | None = None) -> float:
     return boundary_tol
 
 
-def _banded_verdict(witness: float, criterion: str, boundary_tol: float) -> Classification:
+def _banded_verdict(witness: float, boundary_tol: float) -> str:
     # Positive witness means entangled for every criterion normalised here.
     if witness > boundary_tol:
-        verdict = "entangled"
-    elif witness < -boundary_tol:
-        verdict = "separable"
-    else:
-        verdict = "boundary"
-    return Classification(verdict=verdict, criterion=criterion, witness=witness)
+        return "entangled"
+    if witness < -boundary_tol:
+        return "separable"
+    return "boundary"
 
 
-def _max_weight_verdict(weights, boundary_tol: float) -> Classification:
+def _max_weight_verdict(weights, boundary_tol: float) -> tuple[str, float]:
     # the paper's large-q rule: entangled iff some Bell weight exceeds 1/2
-    return _banded_verdict(max(weights) - 0.5, "ar-asymptotic", boundary_tol)
+    margin = max(weights) - 0.5
+    return _banded_verdict(margin, boundary_tol), margin
 
 
 def ppt_classify(state: TwoQubitState | np.ndarray,
@@ -185,14 +184,21 @@ def ppt_classify(state: TwoQubitState | np.ndarray,
     The witness is the most negative eigenvalue of the partial transpose
     (negated margin when all are positive), so positive witness = entangled.
     """
+    return _ppt_verdict(state, boundary_tol_for("ppt", boundary_tol))
+
+
+def _ppt_classify_bell(s: BellDiagonalState, boundary_tol=None) -> Classification:
+    # CLASSIFIERS' ppt entry: the band is checked before the matrix is built
     tol = boundary_tol_for("ppt", boundary_tol)
+    return _ppt_verdict(bell_diagonal_density(s), tol)
+
+
+def _ppt_verdict(state: TwoQubitState | np.ndarray, tol: float) -> Classification:
     if not isinstance(state, TwoQubitState):
         state = TwoQubitState.from_matrix(state)
-    pt = partial_transpose(state.matrix, on="B")
-    spectrum = hermitian_eigenvalues(pt)
-    min_eig = spectrum.values[-1]
-    # 0.0 - min_eig rather than -min_eig: a zero witness is +0.0, never -0.0
-    return _banded_verdict(0.0 - min_eig, "ppt", tol)
+    # 0.0 - the smallest eigenvalue, not its negation: a zero witness is +0.0
+    witness = 0.0 - hermitian_eigenvalues(partial_transpose(state.matrix, on="B")).values[-1]
+    return Classification(_banded_verdict(witness, tol), "ppt", witness)
 
 
 def ar_residual(s: BellDiagonalState, q: float) -> float:
@@ -206,7 +212,8 @@ def ar_classify_asymptotic(s: BellDiagonalState,
                            boundary_tol: float | None = None) -> Classification:
     """Large-q limit of the entropic criterion: max Bell weight versus 1/2."""
     tol = boundary_tol_for("ar-asymptotic", boundary_tol)
-    return _max_weight_verdict(physical_weights(s), tol)
+    verdict, margin = _max_weight_verdict(physical_weights(s), tol)
+    return Classification(verdict, "ar-asymptotic", margin)
 
 
 def _linspace(lo: float, hi: float, count: int) -> tuple[float, ...]:
@@ -283,9 +290,9 @@ def ar_classify_scan(s: BellDiagonalState,
         min_q = grid[-1]
     if min_value < -tol:
         return Classification("entangled", "ar-scan", min_value, min_q)
-    asymptotic = _max_weight_verdict(weights, boundary_tol_for("ar-asymptotic"))
-    if asymptotic.verdict != "separable":
-        return asymptotic
+    verdict, margin = _max_weight_verdict(weights, boundary_tol_for("ar-asymptotic"))
+    if verdict != "separable":
+        return Classification(verdict, "ar-asymptotic", margin)
     return Classification("separable", "ar-scan", min_value, min_q)
 
 
@@ -346,9 +353,8 @@ def threshold_x(q: float, direction="diag", tol: float = THRESHOLD_TOL_DEFAULT) 
         # No crossing inside the physical segment. If the endpoint is not
         # separable in the ar-asymptotic band, it sits on the critical
         # surface, and the threshold is the physical boundary.
-        edge = _max_weight_verdict(xyz_weights(t_max * d[0], t_max * d[1], t_max * d[2]),
-                                   boundary_tol_for("ar-asymptotic"))
-        if edge.verdict != "separable":
+        edge = xyz_weights(t_max * d[0], t_max * d[1], t_max * d[2])
+        if _max_weight_verdict(edge, boundary_tol_for("ar-asymptotic"))[0] != "separable":
             return t_max
         raise BracketError("ray never crosses the q-threshold surface")
     return secant_root(residual, 0.0, t_max, start, end, tol)
@@ -449,16 +455,20 @@ def by_weight_multiset(evaluate):
     return memo
 
 
+# Each method: its classifier of a Bell-diagonal state, and its default band.
+CLASSIFIERS = {
+    "ppt": (_ppt_classify_bell, BOUNDARY_TOL_ANALYTIC),
+    "ar-asymptotic": (ar_classify_asymptotic, BOUNDARY_TOL_ANALYTIC),
+    "ar-scan": (ar_classify_scan, BOUNDARY_TOL_SCAN),
+}
+
+
 def classify_state(s: BellDiagonalState, method: str,
                    boundary_tol: float | None = None) -> Classification:
-    """Dispatch a physical Bell-diagonal state to one classifier, with the
-    band ``boundary_tol_for(method, boundary_tol)`` resolves."""
-    tol = boundary_tol_for(method, boundary_tol)
-    if method == "ppt":
-        return ppt_classify(bell_diagonal_density(s), tol)
-    if method == "ar-asymptotic":
-        return ar_classify_asymptotic(s, tol)
-    return ar_classify_scan(s, boundary_tol=tol)
+    """Dispatch a physical Bell-diagonal state to ``method``'s classifier in
+    CLASSIFIERS, which applies the band ``boundary_tol_for(method,
+    boundary_tol)`` resolves. ValueError for an unknown method."""
+    return _method_entry(method)[0](s, boundary_tol=boundary_tol)
 
 
 def region_scan(x_spec: AxisSpec, y_spec: AxisSpec, z_spec: AxisSpec,

@@ -36,6 +36,7 @@ from qsep import (
     BellDiagonalState,
     NumericalError,
     ar_classify_asymptotic,
+    bell_diagonal_density,
     bell_weights,
     classify_state,
     is_physical,
@@ -119,6 +120,15 @@ def test_entropy_of_an_unphysical_state_names_its_weights(capsys, xyz):
         assert err == "error: " + "; ".join(is_physical(s).violations) + "\n"
 
 
+def test_entropy_of_weights_summing_just_above_one_is_nonnegative(capsys):
+    # Spectrum accepts a sum within 1e-9 of 1; the entropy is that of the
+    # weights divided by their sum, here the pure state's 0
+    code, out, _ = run_cli(capsys, "entropy", "--weights=1.0000000005,0,0,0", "--q", "3",
+                           "--format", "csv")
+    assert code == 0
+    assert read_csv_text(out) == (["S_q_joint", "S_q_A", "S_q_B"], [["0", "0.375", "0.375"]])
+
+
 def test_entropy_csv_format(capsys):
     code, out, _ = run_cli(
         capsys, "entropy", "--xyz", "0,0,0", "--q", "1", "--format", "csv"
@@ -161,7 +171,7 @@ def test_classify_ppt_and_default_method(capsys):
 @pytest.mark.parametrize("flag", [[], ["--boundary-tol", "0.03125"]])
 def test_classify_echoes_the_band_the_classifier_applies(capsys, monkeypatch, method,
                                                          classifier, default, flag):
-    original = getattr(qsep.separability, classifier)
+    original, band = qsep.separability.CLASSIFIERS[method]
     applied = []
 
     def recording(*args, **kwargs):
@@ -170,12 +180,17 @@ def test_classify_echoes_the_band_the_classifier_applies(capsys, monkeypatch, me
         applied.append(bound.arguments["boundary_tol"])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(qsep.separability, classifier, recording)
+    monkeypatch.setitem(qsep.separability.CLASSIFIERS, method, (recording, band))
     code, out, _ = run_cli(capsys, "classify", "--xyz", "0.4,0.4,0.4", "--method", method, *flag)
     assert code == 0
-    # ar-scan's own asymptotic cross-check may follow; the first call is the dispatch
-    assert json.loads(out)["command"]["boundary_tol"] == applied[0]
-    assert applied[0] == (0.03125 if flag else default)
+    doc = json.loads(out)
+    assert doc["command"]["boundary_tol"] == applied[0]
+    assert applied == [0.03125 if flag else default]
+    # the public classifier, at the echoed band, gives the printed witness
+    s = BellDiagonalState(0.4, 0.4, 0.4)
+    state = bell_diagonal_density(s) if method == "ppt" else s
+    public = getattr(qsep.separability, classifier)(state, boundary_tol=applied[0])
+    assert doc["payload"]["witness"] == public.witness
 
 
 def test_classify_scan_reports_witness_location(capsys):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -86,6 +86,24 @@ def test_tsallis_nonnegative_on_full_support(raw, q):
     total = math.fsum(raw)
     spectrum = Spectrum.from_values([v / total for v in raw], stochastic=True)
     assert tsallis_entropy(spectrum, q) >= -1e-12
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5).filter(lambda raw: math.fsum(raw) > 0.0),
+    st.lists(st.floats(-1e-9, 1e-9), min_size=5, max_size=5),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+@example([1.0], [5e-10] * 5, 3.0)
+def test_tsallis_nonnegative_on_every_accepted_spectrum(raw, shifts, q):
+    # a stochastic spectrum may sum to just above 1 and hold values just below 0
+    total = math.fsum(raw)
+    values = [v / total + shift for v, shift in zip(raw, shifts)]
+    try:
+        spectrum = Spectrum.from_values(values, stochastic=True)
+    except ValueError:
+        assume(False)
+    assert tsallis_entropy(spectrum, q) >= 0.0
 
 
 def test_tsallis_decreases_with_q_on_sampled_spectra():

@@ -2,7 +2,7 @@
 module boundary, no module calls ``is_physical`` (the package checks
 weights through ``states.checked_weights``), only ``states`` names
 ``WEIGHT_TOL``, the default verdict bands are named only in their
-definitions and in ``separability.DEFAULT_BOUNDARY_TOL``, and only
+definitions and in ``separability.CLASSIFIERS``, and only
 ``separability`` enumerates a grid and keys a result by its Bell-weight
 multiset."""
 
@@ -79,9 +79,9 @@ def _band_named(node) -> str | None:
 
 
 def test_only_separability_names_the_default_bands():
-    # each band is named in its own definition and in DEFAULT_BOUNDARY_TOL,
-    # nowhere else: every other use takes its band from boundary_tol_for
-    owners = ("BOUNDARY_TOL_ANALYTIC", "BOUNDARY_TOL_SCAN", "DEFAULT_BOUNDARY_TOL")
+    # each band is named in its own definition and in CLASSIFIERS, nowhere
+    # else: every other use takes its band from boundary_tol_for
+    owners = ("BOUNDARY_TOL_ANALYTIC", "BOUNDARY_TOL_SCAN", "CLASSIFIERS")
     owned, stray = [], []
     for name, tree in _trees():
         allowed = {

@@ -30,7 +30,7 @@ from qsep.entropy import bell_log_pairs, entropy_kernel
 from qsep.separability import (
     BOUNDARY_TOL_ANALYTIC,
     BOUNDARY_TOL_SCAN,
-    DEFAULT_BOUNDARY_TOL,
+    CLASSIFIERS,
     MAX_GRID_CELLS,
     Classification,
     boundary_tol_for,
@@ -740,10 +740,12 @@ def test_region_scan_rejects_an_unknown_method_on_any_grid():
 
 
 def test_boundary_tol_for_resolves_each_method_once():
-    assert DEFAULT_BOUNDARY_TOL == {"ppt": BOUNDARY_TOL_ANALYTIC,
-                                    "ar-asymptotic": BOUNDARY_TOL_ANALYTIC,
-                                    "ar-scan": BOUNDARY_TOL_SCAN}
-    for method, default in DEFAULT_BOUNDARY_TOL.items():
+    assert {method: band for method, (_, band) in CLASSIFIERS.items()} == {
+        "ppt": BOUNDARY_TOL_ANALYTIC,
+        "ar-asymptotic": BOUNDARY_TOL_ANALYTIC,
+        "ar-scan": BOUNDARY_TOL_SCAN,
+    }
+    for method, (_, default) in CLASSIFIERS.items():
         assert boundary_tol_for(method) == default
         assert boundary_tol_for(method, 0.0) == 0.0
         assert boundary_tol_for(method, 0.25) == 0.25
@@ -763,15 +765,60 @@ def test_every_classifier_takes_its_default_band_from_the_table(monkeypatch):
     assert ppt_classify(bell_diagonal_density(separable)).verdict == "separable"
     assert ar_classify_asymptotic(separable).verdict == "separable"
     assert ar_classify_scan(entangled).criterion == "ar-scan"
-    for method in DEFAULT_BOUNDARY_TOL:
-        monkeypatch.setitem(DEFAULT_BOUNDARY_TOL, method, 0.25)
+    for method, (classifier, _) in list(CLASSIFIERS.items()):
+        monkeypatch.setitem(CLASSIFIERS, method, (classifier, 0.25))
     assert ppt_classify(bell_diagonal_density(separable)).verdict == "boundary"
     assert ar_classify_asymptotic(separable).verdict == "boundary"
     assert ar_classify_scan(entangled).criterion == "ar-asymptotic"
+    for method in ("ppt", "ar-asymptotic"):
+        assert classify_state(separable, method).verdict == "boundary"
     for classify, state in ((ppt_classify, bell_diagonal_density(separable)),
                             (ar_classify_asymptotic, separable), (ar_classify_scan, separable)):
         with pytest.raises(ValueError, match="boundary_tol must be finite and nonnegative"):
             classify(state, boundary_tol=-1.0)
+
+
+@pytest.mark.parametrize("method", ["ppt", "ar-asymptotic", "ar-scan"])
+def test_classify_state_resolves_the_band_once(method, monkeypatch):
+    original = qsep.separability.boundary_tol_for
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(qsep.separability, "boundary_tol_for", counting)
+    for tol in (None, 0.125):
+        calls.clear()
+        assert classify_state(werner(0.6), method, tol).verdict == "entangled"
+        assert calls == [(method, tol)]
+    # the band is checked before the state, whatever the method
+    calls.clear()
+    with pytest.raises(ValueError, match="boundary_tol"):
+        classify_state(BellDiagonalState(1.2, 0.0, 0.0), method, -1.0)
+    assert calls == [(method, -1.0)]
+    # a state the scan does not call entangled goes on to the asymptotic
+    # cross-check, which takes the ar-asymptotic default: another band
+    calls.clear()
+    assert classify_state(werner(0.2), method).verdict == "separable"
+    assert calls == [(method, None)] + [("ar-asymptotic",)] * (method == "ar-scan")
+
+
+def test_scan_and_threshold_build_only_the_classification_they_return(monkeypatch):
+    original = qsep.separability.Classification
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qsep.separability, "Classification", counting)
+    assert ar_classify_scan(werner(0.2)).verdict == "separable"
+    assert len(built) == 1
+    built.clear()
+    # the axis ray ends on the critical surface: the end-of-ray test decides
+    assert threshold_x(2.0, "axis") == 1.0
+    assert built == []
 
 
 def test_region_scan_methods_agree_off_boundary():

@@ -39,6 +39,11 @@ COMMANDS = (
        for xyz in CLASSIFY_POINTS for method in METHODS]
     + [["qinflex", f"--xyz={xyz}", "--q-max", q_max]
        for q_max in ("5", "200", "1e4") for xyz in QINFLEX_POINTS]
+    # a band of 1/4 makes the separable (0.2, 0.2, 0.2) a ppt and ar-asymptotic
+    # boundary state
+    + [[*command, "--method", method, "--boundary-tol", "0.25"]
+       for command in (["classify", "--xyz=0.2,0.2,0.2"], ["scan", "--range=-1:1:5"])
+       for method in METHODS]
     + [
         ["cond", "--xyz=0.1,-0.2,0.3", "--q", "2"],
         ["entropy", "--xyz=0.1,-0.2,0.3", "--q", "2"],
@@ -55,9 +60,10 @@ COMMANDS = (
         ["threshold", "--q", "2000", "--direction", "diag"],
         # three weights of 2/3 EPS_SUPPORT: a one-weight support, so a vertex
         ["qinflex", "--xyz=0.99999999999733336,0.99999999999733336,0.99999999999733336"],
-        # exit 3: a grid over the cap, an unphysical state
+        # exit 3: a grid over the cap, an unphysical state, a negative band
         ["scan", "--range=-3:1:2000"],
         ["cond", "--xyz=1.2,0,0", "--q", "2"],
+        ["classify", "--xyz=0.2,0.2,0.2", "--boundary-tol=-1"],
     ]
 )
 

@@ -12,13 +12,11 @@ from .errors import (
     UnphysicalStateError,
 )
 from .linalg import (
-    EPS_SUPPORT,
     Spectrum,
     hermitian_eigenvalues,
     partial_trace,
     partial_transpose,
     tensor_product,
-    trace_power,
 )
 from .states import (
     BellDiagonalState,
@@ -32,12 +30,14 @@ from .states import (
     werner,
 )
 from .entropy import (
+    EPS_SUPPORT,
     ConditionalEntropyValue,
     chain_rule_check,
     conditional_entropy,
     conditional_entropy_bell,
     pseudoadditive_combine,
     rescaled_power_sum,
+    trace_power,
     tsallis_entropy,
 )
 from .separability import (
@@ -67,13 +67,11 @@ __all__ = [
     "ConvergenceError",
     "NumericalError",
     "UnphysicalStateError",
-    "EPS_SUPPORT",
     "Spectrum",
     "hermitian_eigenvalues",
     "partial_trace",
     "partial_transpose",
     "tensor_product",
-    "trace_power",
     "BellDiagonalState",
     "PhysicalityCheck",
     "TwoQubitState",
@@ -83,12 +81,14 @@ __all__ = [
     "bell_weights",
     "is_physical",
     "werner",
+    "EPS_SUPPORT",
     "ConditionalEntropyValue",
     "chain_rule_check",
     "conditional_entropy",
     "conditional_entropy_bell",
     "pseudoadditive_combine",
     "rescaled_power_sum",
+    "trace_power",
     "tsallis_entropy",
     "Classification",
     "GridCell",

@@ -32,6 +32,11 @@ the closed form of phi_2,
 
 cancels, it is summed as a Taylor series. The kernel has one loop per order
 n, which evaluates the series or closed form of phi_n inline for each term.
+
+Power sums have two rules beside the kernel. ``trace_power`` and
+``rescaled_power_sum`` add b**q, which saturates to +inf. Their logarithms,
+in ``log_residual`` and ``conditional_entropy``, are a log-sum-exp over the
+kernel's pairs, which forms no power that could overflow or underflow.
 """
 
 from __future__ import annotations
@@ -41,9 +46,12 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .linalg import EPS_SUPPORT, Spectrum, trace_power
+from .linalg import Spectrum
 from .states import BellDiagonalState, physical_weights
 
+# Eigenvalues at or below this are treated as zero; power sums run over the
+# support only, which keeps q <= 0 well defined for rank-deficient spectra.
+EPS_SUPPORT = 1e-12
 # Above this argument e^x overflows; phi_n saturates to +inf there.
 _EXP_MAX = math.log(sys.float_info.max)
 # Taylor coefficients 1 / (n! (n + 3)) of phi_2, highest order first; through
@@ -102,6 +110,56 @@ def entropy_kernel(pairs: Sequence[tuple[float, float]], q: float, n: int = 0) -
     return 0.0 - math.fsum(terms)
 
 
+def _support(s: Spectrum, q: float, name: str) -> list[float]:
+    """The values of a probability spectrum above EPS_SUPPORT, once q is
+    checked to be finite."""
+    if not s.stochastic:
+        raise ValueError(f"{name} requires a stochastic spectrum")
+    if not math.isfinite(q):
+        raise ValueError("q must be finite")
+    return [p for p in s.values if p > EPS_SUPPORT]
+
+
+def _log_pairs(s: Spectrum, q: float, name: str) -> list[tuple[float, float]]:
+    """Kernel input (p, ln p) over the support, divided by its own sum so
+    that no probability exceeds 1 where a stochastic spectrum sums to just
+    above 1."""
+    support = _support(s, q, name)
+    total = math.fsum(support)
+    return [(p / total, math.log(p / total)) for p in support]
+
+
+def _power_sum(bases: Sequence[float], q: float) -> float:
+    """fsum of b**q over positive bases; a divergent sum is +inf rather than
+    an error."""
+    try:
+        return math.fsum([b**q for b in bases])
+    except OverflowError:  # a power, or the sum, does not fit a float
+        return math.inf
+
+
+def _log_power_sum(pairs: Sequence[tuple[float, float]], q: float) -> float:
+    """ln sum_k p_k e^((q - 1) L_k) over kernel pairs whose L_k = ln(c p_k)
+    for one constant c and whose p_k sum to 1: ln sum p^q for (p, ln p),
+    ln(sum (2 w)^q / 2) for ``bell_log_pairs``.
+
+    A log-sum-exp with expm1 and log1p: no power overflows, and it stays
+    accurate as q -> 1. It is shifted by the exponent x_k = (q - 1) L_k of
+    the dominant term p_k e^(x_k), the one with the largest q L_k: the
+    smallest x_k for 0 < q < 1, else the largest.
+    """
+    xs = [(q - 1.0) * L for _, L in pairs]
+    top = min(xs) if 0.0 < q < 1.0 else max(xs)
+    if math.isinf(top):  # q = inf, or an overflow: the largest L_k's sign decides
+        return top
+    return top + math.log1p(math.fsum([p * math.expm1(x - top) for (p, _), x in zip(pairs, xs)]))
+
+
+def trace_power(s: Spectrum, q: float) -> float:
+    """Sum of lambda^q over the support (eigenvalues above EPS_SUPPORT)."""
+    return _power_sum(_support(s, q, "trace_power"), q)
+
+
 def tsallis_entropy(s: Spectrum, q: float) -> float:
     """Entropy of a probability spectrum at entropic index q.
 
@@ -110,13 +168,7 @@ def tsallis_entropy(s: Spectrum, q: float) -> float:
     probability exceeds 1 where a stochastic spectrum sums to just above 1:
     the result is nonnegative for every q.
     """
-    if not s.stochastic:
-        raise ValueError("tsallis_entropy requires a stochastic spectrum")
-    if not math.isfinite(q):
-        raise ValueError("q must be finite")
-    support = [p for p in s.values if p > EPS_SUPPORT]
-    total = math.fsum(support)
-    return entropy_kernel([(p / total, math.log(p / total)) for p in support], q)
+    return entropy_kernel(_log_pairs(s, q, "tsallis_entropy"), q)
 
 
 def pseudoadditive_combine(sa: float, sb: float, q: float) -> float:
@@ -125,12 +177,19 @@ def pseudoadditive_combine(sa: float, sb: float, q: float) -> float:
 
 
 def conditional_entropy(joint: Spectrum, reduced: Spectrum, q: float) -> float:
-    """Abe-Rajagopal conditional entropy from joint and reduced spectra."""
-    denominator = trace_power(reduced, q)
-    if abs(denominator) < 1e-300:
-        raise ValueError("conditional entropy denominator vanished")
-    numerator = tsallis_entropy(joint, q) - tsallis_entropy(reduced, q)
-    return numerator / denominator
+    """Abe-Rajagopal conditional entropy from joint and reduced spectra.
+
+    (S_q(A+B) - S_q(A)) / Tr rho_A^q equals
+    -expm1(ln Tr rho^q - ln Tr rho_A^q) / (q - 1), and is evaluated so, with
+    each logarithm a log-sum-exp over the normalised support: no power sum
+    is formed or divided by. At q = 1 it is the entropy difference
+    S(A+B) - S(A). A quotient that diverges is an infinity.
+    """
+    joint_pairs, reduced_pairs = (_log_pairs(s, q, "conditional_entropy") for s in (joint, reduced))
+    if q == 1.0:
+        return entropy_kernel(joint_pairs, q) - entropy_kernel(reduced_pairs, q)
+    r = _log_power_sum(joint_pairs, q) - _log_power_sum(reduced_pairs, q)
+    return -(math.inf if r > _EXP_MAX else math.expm1(r)) / (q - 1.0)
 
 
 @dataclass(frozen=True)
@@ -144,24 +203,16 @@ class ConditionalEntropyValue:
 
 
 def rescaled_power_sum(weights: Sequence[float], q: float) -> float:
-    """sum_k (2 w_k)^q over the support of a Bell-weight tuple.
-
-    Each term is exp(q ln(2 w_k)) from the kernel's pairs; a term that would
-    overflow is +inf, so a divergent sum is +inf rather than an error.
-    """
-    return math.fsum([math.inf if q * L > _EXP_MAX else math.exp(q * L)
-                      for _, L in bell_log_pairs(weights)])
+    """sum_k (2 w_k)^q over the support of a Bell-weight tuple; a divergent
+    sum is +inf rather than an error."""
+    return _power_sum([2.0 * w for w in weights if w > EPS_SUPPORT], q)
 
 
 def log_residual(weights: Sequence[float], q: float) -> float:
     """ln(sum_k (2 w_k)^q / 2) over the support of a Bell-weight tuple: for
-    q > 1, > 0 exactly where S_q(B|A) < 0. A log-sum-exp of w_k e^((q - 1) L_k)
-    with expm1 and log1p: no power overflows, and it stays accurate as q -> 1."""
-    exponents = [(w, (q - 1.0) * L) for w, L in bell_log_pairs(weights)]
-    top = max(x for _, x in exponents)
-    if math.isinf(top):  # q = inf, or an overflow: the largest L_k's sign decides
-        return top
-    return top + math.log1p(math.fsum([w * math.expm1(x - top) for w, x in exponents]))
+    q > 1, > 0 exactly where S_q(B|A) < 0. No power overflows, and it stays
+    accurate as q -> 1."""
+    return _log_power_sum(bell_log_pairs(weights), q)
 
 
 def conditional_entropy_bell(s: BellDiagonalState, q: float) -> ConditionalEntropyValue:

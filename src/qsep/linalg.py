@@ -1,4 +1,6 @@
-"""Dense complex linear algebra for 2x2 and 4x4 Hermitian operators.
+"""Dense complex linear algebra for 2x2 and 4x4 Hermitian operators, and the
+``Spectrum`` its eigensolver returns; power sums over a spectrum are in
+``entropy``.
 
 Operators are anything ``numpy.asarray`` turns into a complex128 matrix.
 numpy is imported by the functions that take or return a matrix, not with
@@ -23,9 +25,6 @@ from .errors import ConvergenceError
 if TYPE_CHECKING:
     import numpy as np
 
-# Eigenvalues at or below this are treated as zero; power sums run over the
-# support only, which keeps q <= 0 well defined for rank-deficient spectra.
-EPS_SUPPORT = 1e-12
 HERMITICITY_TOL = 1e-10
 # Jacobi convergence: largest off-diagonal magnitude after a full sweep.
 OFFDIAG_TOL = 1e-13
@@ -210,20 +209,3 @@ def hermitian_eigenvalues(m: np.ndarray) -> Spectrum:
         )
     return Spectrum.from_values(_jacobi_eigenvalues(rows))
 
-
-def _pow(base: float, q: float) -> float:
-    # base > 0; overflow saturates instead of raising so callers can treat
-    # divergent power sums as an infinite result with the right sign.
-    try:
-        return base**q
-    except OverflowError:
-        return math.inf
-
-
-def trace_power(s: Spectrum, q: float) -> float:
-    """Sum of lambda^q over the support (eigenvalues above EPS_SUPPORT)."""
-    if not s.stochastic:
-        raise ValueError("trace_power requires a stochastic spectrum")
-    if not math.isfinite(q):
-        raise ValueError("q must be finite")
-    return math.fsum(_pow(v, q) for v in s.values if v > EPS_SUPPORT)

@@ -32,6 +32,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 WEIGHT_TOL = 1e-12
+# A density matrix's trace may miss 1, and its eigenvalues 0 from below, by this.
+DENSITY_TOL = 1e-11
 WEIGHT_LABELS = ("phi+", "phi-", "psi+", "psi-")
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -136,9 +138,9 @@ def bell_projectors() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 class TwoQubitState:
     """A validated 4x4 density matrix.
 
-    Construction checks Hermiticity (to 1e-10), unit trace (to 1e-11) and
-    positive semidefiniteness (eigenvalues >= -1e-11); the eigenvalue
-    spectrum is kept on the instance.
+    Construction checks Hermiticity (to ``linalg.HERMITICITY_TOL``), unit
+    trace (to ``DENSITY_TOL``) and positive semidefiniteness (eigenvalues
+    >= -DENSITY_TOL); the eigenvalue spectrum is kept on the instance.
     """
 
     matrix: np.ndarray
@@ -151,13 +153,11 @@ class TwoQubitState:
         if arr.shape != (4, 4):
             raise ValueError(f"density matrix must be 4x4, got shape {arr.shape}")
         spectrum = hermitian_eigenvalues(arr)
-        trace = float(arr.trace().real)
-        if abs(trace - 1.0) > 1e-11:
+        trace, lowest = float(arr.trace().real), spectrum.values[-1]
+        if abs(trace - 1.0) > DENSITY_TOL:
             raise UnphysicalStateError(f"density matrix trace is {trace!r}, expected 1")
-        if spectrum.values[-1] < -1e-11:
-            raise UnphysicalStateError(
-                f"density matrix has negative eigenvalue {spectrum.values[-1]!r}"
-            )
+        if lowest < -DENSITY_TOL:
+            raise UnphysicalStateError(f"density matrix has negative eigenvalue {lowest!r}")
         object.__setattr__(self, "matrix", arr)
         object.__setattr__(self, "spectrum", spectrum)
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import helpers
 from qsep import (
+    EPS_SUPPORT,
     BellDiagonalState,
     ConditionalEntropyValue,
     Spectrum,
@@ -24,6 +26,7 @@ from qsep import (
     pseudoadditive_combine,
     rescaled_power_sum,
     tensor_product,
+    trace_power,
     tsallis_entropy,
     werner,
 )
@@ -143,9 +146,56 @@ def test_conditional_entropy_uniform_anchor():
     )
 
 
-def test_conditional_entropy_denominator_underflow():
-    with pytest.raises(ValueError, match="denominator"):
-        conditional_entropy(UNIFORM4, Spectrum.uniform(2), 2000.0)
+def test_conditional_entropy_where_the_reduced_power_sum_underflows():
+    # Tr rho_A^q = 2^(1 - q) is below the smallest double here, and the
+    # quotient is still (1 - 2^(1 - q)) / (q - 1)
+    q = 2000.0
+    assert conditional_entropy(UNIFORM4, Spectrum.uniform(2), q) == pytest.approx(
+        (1.0 - 2.0 ** (1.0 - q)) / (q - 1.0), rel=1e-15
+    )
+
+
+def closed_form_with_scale(weights, q):
+    """S_q(B|A) = (2 - sum_k (2 w_k)^q) / (2 (q - 1)) of the normalised
+    support in 50-digit mpmath, and sum_k q |(2 w_k)^(q - 1) - 1| / |q - 1|,
+    the size of its change per unit shift of one weight at fixed total (at
+    q = 1 both are limits): the factor that carries the eigensolver's
+    absolute rounding of the spectrum into S_q(B|A)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        support = [mp.mpf(w) for w in weights if w > EPS_SUPPORT]
+        total = mp.fsum(support)
+        logs = [mp.log(2 * w / total) for w in support]
+        q, u = mp.mpf(q), mp.mpf(q) - 1
+        if u == 0:
+            value = -mp.fsum(w / total * L for w, L in zip(support, logs))
+            scale = mp.fsum(abs(L) for L in logs)
+        else:
+            value = (2 - mp.fsum(mp.exp(q * L) for L in logs)) / (2 * u)
+            scale = q * mp.fsum(abs(mp.expm1(u * L)) for L in logs) / abs(u)
+        return float(value), float(scale)
+
+
+@settings(derandomize=True, deadline=None)
+@given(helpers.tetrahedron_states(), st.floats(0.5, 1000.0))
+@example(BellDiagonalState(0.2, 0.1, -0.3), 100.0)
+@example(werner(0.3), 1.0)
+@example(BellDiagonalState(1.0, 1.0, 1.0), 1000.0)
+def test_conditional_entropy_matrix_route_matches_mpmath(s, q):
+    # Each eigenvalue is good to a few ulp of 1. A weight within that of
+    # EPS_SUPPORT may land on either side of the support rule as an
+    # eigenvalue: the rule, not the route, then decides whether it counts.
+    weights = bell_weights(s)
+    assume(all(abs(w - EPS_SUPPORT) > 4.0 * sys.float_info.epsilon for w in weights))
+    rho = bell_diagonal_density(s).matrix
+    joint = hermitian_eigenvalues(rho)
+    reduced = hermitian_eigenvalues(partial_trace(rho, "A"))
+    exact, scale = closed_form_with_scale(weights, q)
+    got = conditional_entropy(joint, reduced, q)
+    # so the route can be no closer than a few eps times the scale; the 1 is
+    # for the rounding of ln Tr rho^q and ln Tr rho_A^q, each |q - 1| ln 2
+    # to |q - 1| ln 4 in size before the division by q - 1
+    assert abs(got - exact) <= 4.0 * sys.float_info.epsilon * (1.0 + abs(exact) + scale)
 
 
 def test_conditional_entropy_bell_validates_and_labels():
@@ -172,6 +222,26 @@ def test_rescaled_power_sum_values():
     assert rescaled_power_sum(weights, 50.0) == pytest.approx(
         math.fsum((2.0 * w) ** 50 for w in weights), rel=1e-12)
     assert entropy_kernel(bell_log_pairs((0.0, 0.0, 0.0, 1.0)), 5000.0) == -math.inf
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.tuples(*[st.floats(0.0, 1.0)] * 4), st.floats(-3.0, 600.0))
+@example((0.1, 0.2, 0.3, 0.4), 50.0)
+def test_rescaled_power_sum_is_correctly_rounded_within_an_ulp(weights, q):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        exact = mp.fsum((2 * mp.mpf(w)) ** q for w in weights if w > EPS_SUPPORT)
+    assume(sys.float_info.min <= exact <= sys.float_info.max)
+    assert abs(rescaled_power_sum(weights, q) - exact) <= 5e-16 * exact
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4).filter(lambda raw: math.fsum(raw) > 0.0),
+       st.floats(-3.0, 50.0))
+def test_trace_power_is_the_plain_power_sum_bit_for_bit(raw, q):
+    total = math.fsum(raw)
+    s = Spectrum.from_values([v / total for v in raw], stochastic=True)
+    assert trace_power(s, q) == math.fsum(v**q for v in s.values if v > EPS_SUPPORT)
 
 
 def test_kernel_rejects_other_derivative_orders():

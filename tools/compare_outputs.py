@@ -58,6 +58,8 @@ COMMANDS = (
         ["scan", "--method", "ar-scan"],
         # the raw S_q(B|A) is -inf at the end of this ray
         ["threshold", "--q", "2000", "--direction", "diag"],
+        # next to q = 1 the residual's expm1 and log1p carry the answer
+        ["threshold", "--q", "1.000001", "--direction", "diag"],
         # three weights of 2/3 EPS_SUPPORT: a one-weight support, so a vertex
         ["qinflex", "--xyz=0.99999999999733336,0.99999999999733336,0.99999999999733336"],
         # exit 3: a grid over the cap, an unphysical state, a negative band

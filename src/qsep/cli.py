@@ -123,10 +123,18 @@ def _csv_document(header, rows) -> Iterable[str]:
     yield "".join(",".join(map(_csv_field, row)) + "\n" for row in rows)
 
 
-def _scalar_document(args, command: dict, payload: dict) -> Iterable[str]:
+def _scalar_document(args, payload: dict) -> Iterable[str]:
+    """The JSON record or CSV row of a scalar command. The record's command
+    echoes the parsed flags but --out and --format, in the order the
+    subcommand declares them, which is the order argparse fills its
+    namespace in; a flag whose value is None, such as the unset member of a
+    flag group, is left out."""
     if args.format == "csv":
         return _csv_document(list(payload), [tuple(payload.values())])
-    record = {"format": FORMAT_VERSION, "command": command, "payload": payload}
+    flags = {key: value for key, value in vars(args).items()
+             if key not in ("command", "func", "out", "format") and value is not None}
+    record = {"format": FORMAT_VERSION, "command": {"name": args.command, **flags},
+              "payload": payload}
     return (_render_json(record, 0) + "\n",)
 
 
@@ -221,58 +229,51 @@ def _cmd_entropy(args) -> Iterable[str]:
     q = args.q
     if args.weights is not None:
         joint = Spectrum.from_values(checked_weights(args.weights), stochastic=True)
-        source = {"weights": args.weights}
     else:
         joint = bell_spectrum(BellDiagonalState(*args.xyz))
-        source = {"xyz": args.xyz}
     marginal = tsallis_entropy(Spectrum.uniform(2), q)  # both marginals are maximally mixed
-    command = {"name": "entropy", **source, "q": q}
     payload = {
         "S_q_joint": tsallis_entropy(joint, q),
         "S_q_A": marginal,
         "S_q_B": marginal,
     }
-    return _scalar_document(args, command, payload)
+    return _scalar_document(args, payload)
 
 
 def _cmd_cond(args) -> Iterable[str]:
     s = BellDiagonalState(*args.xyz)
     result = conditional_entropy_bell(s, args.q)
-    command = {"name": "cond", "xyz": args.xyz, "q": args.q}
     payload = {
         "value": result.value,
         "cond_b_given_a": result.value,
         "cond_a_given_b": result.value,
     }
-    return _scalar_document(args, command, payload)
+    return _scalar_document(args, payload)
 
 
 def _cmd_classify(args) -> Iterable[str]:
     s = BellDiagonalState(*args.xyz)
-    tol = boundary_tol_for(args.method, args.boundary_tol)
-    result = classify_state(s, args.method, tol)
-    command = {"name": "classify", "xyz": args.xyz, "method": args.method,
-               "boundary_tol": tol}
+    # resolved before rendering, so the record echoes the band applied
+    args.boundary_tol = boundary_tol_for(args.method, args.boundary_tol)
+    result = classify_state(s, args.method, args.boundary_tol)
     payload = {
         "verdict": result.verdict,
         "criterion": result.criterion,
         "witness": result.witness,
         "witness_q": result.witness_q,
     }
-    return _scalar_document(args, command, payload)
+    return _scalar_document(args, payload)
 
 
 def _cmd_threshold(args) -> Iterable[str]:
     value = threshold_x(args.q, args.direction, args.tol)
-    command = {"name": "threshold", "q": args.q, "direction": args.direction, "tol": args.tol}
     payload = {"threshold_x": value}
-    return _scalar_document(args, command, payload)
+    return _scalar_document(args, payload)
 
 
 def _cmd_qinflex(args) -> Iterable[str]:
     s = BellDiagonalState(*args.xyz)
     report = order_parameter(s, q_max=args.q_max)
-    command = {"name": "qinflex", "xyz": args.xyz, "q_max": args.q_max}
     payload = {
         "q_inflexion": report.q_inflexion,
         "eta": report.eta,
@@ -280,7 +281,7 @@ def _cmd_qinflex(args) -> Iterable[str]:
         "bracket": report.bracket,
         "d2_at_bracket": report.d2_at_bracket,
     }
-    return _scalar_document(args, command, payload)
+    return _scalar_document(args, payload)
 
 
 # ---------------------------------------------------------------------------

@@ -22,16 +22,16 @@ is negative unless every L_k = ln(2 w_k) vanishes (two weights of 1/2, where
 S'' = 0 throughout). So S'' falls strictly in q and changes sign at most
 once, from + to -. The search rests on that fact but never evaluates S'''.
 It first evaluates S'' at q_max, the top of a log-spaced grid of
-SEARCH_POINTS points. Unless S''(q_max) < 0, no grid point is concave, and
-that one evaluation reports no inflexion. Otherwise it binary-searches the
-rest of the grid for the first point where S'' < 0, reusing the value at
-q_max. Provided S'' is finite at both ends of the interval ending there and
-changes sign across it, the root inside is found on S'' alone by the
-package's one root finder, ``separability.secant_root``, with tol = 0: it
-ends once a secant step moves q by at most 2 ulp or the midpoint rounds onto
-an end, with q_I at the precision of the computed S''. States with S'' = 0
-throughout, a root below Q_FLOOR, or S'' overflowing at the end of the
-interval report no inflexion.
+SEARCH_POINTS points, which ``log_grid`` builds once per q_max. Unless
+S''(q_max) < 0, no grid point is concave, and that one evaluation reports no
+inflexion. Otherwise it binary-searches the rest of the grid for the first
+point where S'' < 0, reusing the value at q_max. Provided S'' is finite at
+both ends of the interval ending there and changes sign across it, the root
+inside is found on S'' alone by the package's one root finder,
+``separability.secant_root``, with tol = 0: it ends once a secant step moves
+q by at most 2 ulp or the midpoint rounds onto an end, with q_I at the
+precision of the computed S''. States with S'' = 0 throughout, a root below
+Q_FLOOR, or S'' overflowing at the end of the interval report no inflexion.
 
 A state is a vertex when its support, the weights above ``EPS_SUPPORT``
 that ``bell_log_pairs`` keeps for the kernel, is one weight: S'' < 0 at
@@ -60,7 +60,6 @@ from .separability import (AxisSpec, by_weight_multiset, grid_axes, grid_results
 Q_FLOOR = 1e-3
 Q_MAX_DEFAULT = 200.0
 SEARCH_POINTS = 240
-_DEFAULT_SEARCH_GRID = log_grid(Q_FLOOR, Q_MAX_DEFAULT, SEARCH_POINTS)
 
 
 @dataclass(frozen=True)
@@ -84,11 +83,7 @@ def _check_q_max(q_max: float) -> None:
 
 
 def _search(pairs, q_max: float) -> CriticalityReport:
-    if q_max == Q_MAX_DEFAULT:
-        grid = _DEFAULT_SEARCH_GRID
-    else:
-        grid = log_grid(Q_FLOOR, q_max, SEARCH_POINTS)
-
+    grid = log_grid(Q_FLOOR, q_max, SEARCH_POINTS)
     d2 = {}
 
     def concave(q: float) -> bool:

@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING
 
@@ -106,10 +107,11 @@ def secant_root(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float) -
     """Root of f in [lo, hi], given f_lo = f(lo) and f_hi = f(hi) of opposite
     signs, by secant steps through the last two points, each measured from
     the one of smaller |f|. The bracket's midpoint replaces a step that would
-    leave the bracket or is not under half the step before last (Brent 1973),
-    and a step from a non-finite value. Returns x where f(x) == 0, the
-    secant's root once a step is at most 2 ulp, or the midpoint once the
-    bracket is at most tol wide (so tol bounds the error) or rounds onto an end.
+    leave the bracket, a step over 4 ulp that is not under half the step
+    before last (Brent 1973), and a step from a non-finite value. Returns x
+    where f(x) == 0, the secant's root once a step is at most 2 ulp, or the
+    midpoint once the bracket is at most tol wide (so tol bounds the error)
+    or rounds onto an end.
     """
     lo_positive = f_lo > 0.0
     x_prev, f_prev = hi, f_hi
@@ -131,7 +133,9 @@ def secant_root(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float) -
             moved = abs(step) if abs(fx) <= abs(f_prev) else abs(x - step - x_prev)
             if moved <= 2.0 * math.ulp(x):
                 return x - step
-            if lo < x - step < hi and moved < 0.5 * before_last:
+            # a few-ulp step is taken even after a smaller one: Brent's rule
+            # would spend midpoint steps there to halve a bracket near the root
+            if lo < x - step < hi and (moved < 0.5 * before_last or moved <= 4.0 * math.ulp(x)):
                 last, before_last = moved, last
                 x_prev, f_prev, x = x, fx, x - step
                 continue
@@ -223,6 +227,8 @@ def _linspace(lo: float, hi: float, count: int) -> tuple[float, ...]:
     return tuple(i * step + lo for i in range(count - 1)) + (hi,)
 
 
+# bounded: a sweep over many q_max values must not grow memory without limit
+@lru_cache(maxsize=16)
 def log_grid(lo: float, hi: float, count: int) -> tuple[float, ...]:
     """count points from lo to hi, 0 < lo < hi and count >= 2, evenly spaced
     in log10, both ends exact.
@@ -231,7 +237,8 @@ def log_grid(lo: float, hi: float, count: int) -> tuple[float, ...]:
     exponents e that ``np.linspace`` spaces from log10(lo) to log10(hi). The
     power is the C library's, not numpy's vectorised one. On every grid the
     package builds, the two differ at a few points, by 1 ulp, and this one
-    is the correctly rounded value there.
+    is the correctly rounded value there. Grids are memoised, so each one
+    the inflexion search takes (one per q_max) is built once.
     """
     exponents = _linspace(math.log10(lo), math.log10(hi), count)
     return (float(lo),) + tuple(10.0**e for e in exponents[1:-1]) + (float(hi),)

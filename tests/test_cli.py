@@ -10,6 +10,7 @@ no ``qsep`` distribution is installed.
 import argparse
 import csv
 import importlib.metadata
+import importlib.util
 import inspect
 import itertools
 import json
@@ -215,6 +216,41 @@ def test_threshold_round_trips_the_library_value(capsys):
     doc = json.loads(out)
     assert doc["command"]["direction"] == [2.0, 0.0, 0.0]
     assert doc["payload"]["threshold_x"] == 0.5
+
+
+SCALAR_COMMANDS = [
+    ["entropy", "--xyz=0.1,-0.2,0.3", "--q", "2"],
+    ["entropy", "--weights=0.4,0.3,0.2,0.1", "--q", "0.5", "--format", "json"],
+    ["cond", "--xyz=0.1,-0.2,0.3", "--q", "2"],
+    ["classify", "--xyz=0.2,0.2,0.2", "--method", "ppt"],
+    ["threshold", "--q", "3", "--direction=1,0.5,0.2"],
+    ["qinflex", "--xyz=0.6,0.6,0.6", "--q-max", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", SCALAR_COMMANDS, ids=" ".join)
+def test_scalar_record_echoes_each_declared_flag_in_order(capsys, tmp_path, argv):
+    # the command record is the name, then each flag the subcommand declares
+    # but --out and --format, in declaration order; the member of a flag
+    # group that was not given is left out, as its value is None
+    parser = qsep.cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    subparser = commands.choices[argv[0]]
+    grouped = {a.dest for g in subparser._mutually_exclusive_groups for a in g._group_actions}
+    given = {token.split("=")[0] for token in argv}
+    declared = [a.dest for a in subparser._actions
+                if a.option_strings and not isinstance(a, argparse._HelpAction)
+                and a.dest not in ("out", "format")
+                and (a.dest not in grouped or not given.isdisjoint(a.option_strings))]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    command = json.loads(out)["command"]
+    assert list(command) == ["name", *declared]
+    assert command["name"] == argv[0]
+    # --out changes where the record goes, not what it echoes
+    target = tmp_path / "record.json"
+    assert run_cli(capsys, *argv, "--out", str(target))[:2] == (0, "")
+    assert target.read_text(encoding="utf-8") == out
 
 
 def test_qinflex_payloads(capsys):
@@ -870,3 +906,32 @@ def test_installed_console_script():
     result = subprocess.run([script, "--help"], capture_output=True, text=True)
     assert result.returncode == 0
     assert "subcommand" in result.stdout or "usage" in result.stdout
+
+
+# ---------------------------------------------------------------------------
+# the committed byte manifest
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def load_compare_outputs():
+    spec = importlib.util.spec_from_file_location("compare_outputs", TOOLS / "compare_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_harness_command_matches_the_committed_manifest(capsys):
+    # tools/compare_outputs.py --write-manifest records each command's exit
+    # code and the SHA-256 of its stdout from a fresh `python -m qsep`; here
+    # each runs in process. A change that moves bytes commits a new manifest.
+    compare_outputs = load_compare_outputs()
+    manifest = json.loads(compare_outputs.MANIFEST.read_text(encoding="utf-8"))
+    assert [entry["argv"] for entry in manifest] == [list(c) for c in compare_outputs.COMMANDS]
+    moved = []
+    for entry in manifest:
+        code = main(list(entry["argv"]))
+        out = capsys.readouterr().out.encode("utf-8")
+        if compare_outputs.manifest_entry(entry["argv"], out, code) != entry:
+            moved.append(" ".join(entry["argv"]))
+    assert moved == []

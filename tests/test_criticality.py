@@ -287,6 +287,13 @@ def test_search_evaluates_few_second_derivatives(monkeypatch, t, most):
 @example(state_from_weights((1e-5 / 3, 0.2, 0.3 - 1e-5 * 2 / 3, 0.5 + 1e-5)), 1e7)
 @example(state_from_weights((0.49 / 3, 0.49 / 3, 0.49 / 3, 0.51)), 1e7)
 @example(BellDiagonalState(-1.1542561297373144, -0.8239008383872168, 0.9984824265628943), 1e7)
+# three of 20,000 states uniform on the weight simplex that took 23, 23 and
+# 22 calls while Brent's rule sent a secant step of a few ulp, after a
+# smaller one, to six midpoint steps; they now take 18, 19 and 21
+@example(BellDiagonalState(0.9163546351997301, -1.9403833835610227, 0.15165969004239632),
+         Q_MAX_DEFAULT)
+@example(BellDiagonalState(0.8598770031593206, 0.9834637539776226, 0.10915673252523084), 1e4)
+@example(BellDiagonalState(-0.16893191581584688, -1.7396168469498954, 0.98919792454142), 1e7)
 def test_search_makes_at_most_21_second_derivative_evaluations(s, q_max):
     # 1 at the top of the grid, at most 8 in the binary search over the
     # other 239 points (2^8 > 239) and at most 12 in the secant refinement,
@@ -327,6 +334,16 @@ def test_search_cost_on_the_21_point_grid(monkeypatch):
     eta_field(spec, spec, spec)
     assert {n for _, n in calls} == {2}
     assert len(calls) <= 2_533
+
+
+def test_a_grid_builds_its_search_grid_at_most_once():
+    # log_grid is memoised, so every search of this grid (one per weight
+    # multiset) at a q_max other than the default reads one search grid
+    log_grid.cache_clear()
+    spec = (-3.0, 1.0, 9)
+    eta_field(spec, spec, spec, q_max=1e4)
+    assert log_grid.cache_info().misses <= 1
+    assert log_grid.cache_info().hits > 0
 
 
 @settings(derandomize=True, deadline=None)

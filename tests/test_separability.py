@@ -1,7 +1,9 @@
 """Unit tests for the classifiers, thresholds, and region scans."""
 
+import hashlib
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -537,6 +539,35 @@ def test_secant_root_returns_within_a_tol_wider_than_the_float_spacing(tol):
     root = secant_root(f, 0.0, 1.0, -1.0, math.expm1(40.0) - 1.0, tol)
     assert abs(root - math.log(2.0) / 40.0) <= tol
     assert (xs == []) == (tol >= 1.0)
+
+
+def hash_noise(x: float) -> float:
+    """A deterministic value in [-1, 1) that jumps at every float x."""
+    digest = hashlib.blake2b(struct.pack("<d", x), digest_size=8).digest()
+    return int.from_bytes(digest, "little") / 2.0**63 - 1.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.floats(1e-3, 1e3), st.floats(1e-12, 1e3), st.floats(0.0, 1.0), st.floats(0.0, 10.0))
+def test_secant_root_ends_on_noise(lo, width, share, noise):
+    # a root r buried in noise up to 10 times the bracket's width: Brent's
+    # rule still ends the search within about two evaluations per halving
+    # of the bracket, counted down to the float spacing at lo
+    hi = lo + width
+    assume(hi - lo >= 4.0 * math.ulp(lo))
+    r, amplitude = lo + share * (hi - lo), noise * (hi - lo)
+    xs = []
+
+    def f(x: float) -> float:
+        xs.append(x)
+        return r - x + amplitude * hash_noise(x)
+
+    f_lo, f_hi = f(lo), f(hi)
+    assume(f_lo * f_hi < 0.0)
+    xs.clear()
+    root = secant_root(f, lo, hi, f_lo, f_hi, 0.0)
+    assert lo <= root <= hi
+    assert len(xs) <= 2.0 * math.log2((hi - lo) / math.ulp(lo)) + 2.0
 
 
 def test_grid_points_validation_and_endpoints():

@@ -1,4 +1,5 @@
-"""Check that this tree's CLI prints the same bytes as another checkout's.
+"""Check that this tree's CLI prints the same bytes as another checkout's,
+or record its bytes in the committed manifest.
 
 Run from anywhere, with the root of the other checkout (for example the
 parent commit, extracted with ``git archive``) as the only argument:
@@ -10,16 +11,28 @@ PARENT_ROOT/src on PYTHONPATH and once with this tree's src. One line per
 command says whether the two runs are identical or which of stdout and the
 exit code differ; stderr is not compared. The exit status is 1 if any
 command differs, else 0.
+
+    python tools/compare_outputs.py --write-manifest
+
+runs each command of ``COMMANDS`` once with this tree's src and rewrites
+``MANIFEST`` (``outputs_manifest.json`` beside this file): one line per
+command with its argv, its exit code and the SHA-256 of its stdout. The
+test suite runs every command in process and compares it with the manifest,
+so a change that moves output bytes commits the new manifest, whose diff
+names the commands that moved.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+MANIFEST = Path(__file__).resolve().parent / "outputs_manifest.json"
 METHODS = ("ppt", "ar-asymptotic", "ar-scan")
 GRIDS = (
     ("--range=-3:1:41",),
@@ -77,9 +90,23 @@ def run(src: Path, argv: list[str]) -> tuple[bytes, int]:
     return done.stdout, done.returncode
 
 
+def manifest_entry(argv: list[str], stdout: bytes, code: int) -> dict:
+    return {"argv": argv, "exit": code, "sha256": hashlib.sha256(stdout).hexdigest()}
+
+
+def write_manifest() -> None:
+    entries = [json.dumps(manifest_entry(command, *run(SRC, command))) for command in COMMANDS]
+    MANIFEST.write_text("[\n" + ",\n".join(entries) + "\n]\n", encoding="utf-8")
+    print(f"{len(entries)} commands written to {MANIFEST}")
+
+
 def main(argv: list[str]) -> int:
+    if argv == ["--write-manifest"]:
+        write_manifest()
+        return 0
     if len(argv) != 1:
-        print("usage: python tools/compare_outputs.py PARENT_ROOT", file=sys.stderr)
+        print("usage: python tools/compare_outputs.py PARENT_ROOT | --write-manifest",
+              file=sys.stderr)
         return 2
     parent_src = Path(argv[0]).resolve() / "src"
     if not (parent_src / "qsep").is_dir():

@@ -17,8 +17,8 @@ end and is removed when the run fails or gets SIGTERM (exit 143) or SIGHUP
 SIGHUP, stays ignored. SIGKILL cannot be caught, so a run killed by it
 leaves the temporary file ``.<name>.<pid>.tmp`` behind.
 
-Importing this module does not load numpy. Only ``--method ppt``, which
-diagonalises a matrix, loads it.
+Neither importing this module nor running any command loads numpy:
+``--method ppt`` diagonalises its matrices as nested lists.
 """
 
 from __future__ import annotations

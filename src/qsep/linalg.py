@@ -2,9 +2,11 @@
 ``Spectrum`` its eigensolver returns; power sums over a spectrum are in
 ``entropy``.
 
-Operators are anything ``numpy.asarray`` turns into a complex128 matrix.
-numpy is imported by the functions that take or return a matrix, not with
-this module, so the package's scalar paths start without it. Composite
+Operators are nested lists of rows, or anything ``numpy.asarray`` turns
+into a complex128 matrix. ``hermitian_eigenvalues`` checks and solves a
+nested list in pure Python; numpy is imported by the functions that take
+an array or return a matrix, not with this module, so the package's
+scalar paths and its Bell-diagonal ``ppt`` route start without it. Composite
 operators on two qubits use the row index convention 2*i_A + i_B, so the
 first tensor factor is the slow index. Eigenvalues come from a cyclic Jacobi
 solver so the package does not depend on LAPACK behaviour for its core
@@ -16,8 +18,10 @@ indexing numpy scalars, and it is still free of LAPACK.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import ConvergenceError
@@ -184,14 +188,28 @@ def _jacobi_eigenvalues(a: list[list[complex]]) -> list[float]:
     )
 
 
-def hermitian_eigenvalues(m: np.ndarray) -> Spectrum:
+def hermitian_eigenvalues(m: list[list[complex]] | np.ndarray) -> Spectrum:
     """Eigenvalues of a Hermitian 2x2 or 4x4 matrix, descending.
 
-    Inputs may deviate from exact Hermiticity by at most HERMITICITY_TOL in
-    any entry; the pass that checks this also symmetrises the matrix.
-    Probability spectra (sum one, nonnegative) come back flagged stochastic.
+    m is an array, or a list of row lists, which is checked as
+    ``_as_operator`` checks an array (square, of dimension 2 or 4, finite)
+    without numpy; complex() gives each entry the value numpy's complex128
+    conversion gives it. The caller's matrix is left as it was. Inputs may
+    deviate from exact Hermiticity by at most HERMITICITY_TOL in any entry;
+    the pass that checks this also symmetrises the matrix. Probability
+    spectra (sum one, nonnegative) come back flagged stochastic.
     """
-    rows = _as_operator(m, (2, 4)).tolist()
+    if not (isinstance(m, list) and all([isinstance(row, list) for row in m])):
+        rows = _as_operator(m, (2, 4)).tolist()
+    elif len(m) not in (2, 4) or any([len(row) != len(m) for row in m]):
+        raise ValueError(f"matrix must be square, 2x2 or 4x4, got {len(m)} rows")
+    else:
+        try:
+            rows = [list(map(complex, row)) for row in m]
+        except TypeError:  # None, or a list one level too deep
+            raise ValueError("matrix entries must be numbers") from None
+        if not all(map(cmath.isfinite, chain.from_iterable(rows))):
+            raise ValueError("matrix contains non-finite entries")
     n = len(rows)
     # |m - m^H| is symmetric: its first maximum, row-major, has i <= j. Each
     # (m + m^H)/2 entry is its own sum; a mirror's conjugate may flip a zero

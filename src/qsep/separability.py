@@ -4,7 +4,11 @@ Three routes, deliberately independent of each other:
 
 * ``ppt_classify`` is the exact oracle: partial transpose plus eigensolver.
   For two qubits, positivity of the partial transpose is necessary and
-  sufficient for separability.
+  sufficient for separability. ``classify_state(s, "ppt")`` runs it on the
+  rows of a Bell-diagonal state's matrix, without numpy: one eigensolve
+  checks rho as ``TwoQubitState`` does, one solves the partial transpose,
+  and ``_ppt_verdict`` turns its lowest eigenvalue into the verdict on
+  both routes, so the two give one Classification bit for bit.
 * ``ar_classify_asymptotic`` is the exact large-q limit of the conditional
   entropy criterion: separable iff no Bell weight exceeds 1/2, which carves
   the octahedron |x|, |y|, |z| bounded by the planes x + y + z = 1 and its
@@ -52,7 +56,9 @@ from .linalg import hermitian_eigenvalues, partial_transpose
 from .states import (
     BellDiagonalState,
     TwoQubitState,
-    bell_diagonal_density,
+    bell_blocks,
+    block_rows,
+    density_spectrum,
     nonnegative_weights,
     physical_weights,
     xyz_weights,
@@ -188,20 +194,23 @@ def ppt_classify(state: TwoQubitState | np.ndarray,
     The witness is the most negative eigenvalue of the partial transpose
     (negated margin when all are positive), so positive witness = entangled.
     """
-    return _ppt_verdict(state, boundary_tol_for("ppt", boundary_tol))
+    tol = boundary_tol_for("ppt", boundary_tol)
+    state = state if isinstance(state, TwoQubitState) else TwoQubitState.from_matrix(state)
+    return _ppt_verdict(partial_transpose(state.matrix, on="B"), tol)
 
 
 def _ppt_classify_bell(s: BellDiagonalState, boundary_tol=None) -> Classification:
-    # CLASSIFIERS' ppt entry: the band is checked before the matrix is built
+    # CLASSIFIERS' ppt entry: ppt_classify(bell_diagonal_density(s)) on rows,
+    # bit for bit; rho is checked as TwoQubitState checks its matrix
     tol = boundary_tol_for("ppt", boundary_tol)
-    return _ppt_verdict(bell_diagonal_density(s), tol)
+    a, b, c, d = bell_blocks(s)
+    density_spectrum(block_rows(a, b, c, d))
+    return _ppt_verdict(block_rows(a, d, c, b), tol)
 
 
-def _ppt_verdict(state: TwoQubitState | np.ndarray, tol: float) -> Classification:
-    if not isinstance(state, TwoQubitState):
-        state = TwoQubitState.from_matrix(state)
+def _ppt_verdict(partial_transposed, tol: float) -> Classification:
     # 0.0 - the smallest eigenvalue, not its negation: a zero witness is +0.0
-    witness = 0.0 - hermitian_eigenvalues(partial_transpose(state.matrix, on="B")).values[-1]
+    witness = 0.0 - hermitian_eigenvalues(partial_transposed).values[-1]
     return Classification(_banded_verdict(witness, tol), "ppt", witness)
 
 

@@ -8,9 +8,14 @@ Conventions, fixed once for the whole package:
   weights ((1-x)/4, (1-y)/4, (1-z)/4, (1+x+y+z)/4) on them, in that order,
   as ``xyz_weights`` computes them.
 
-numpy is loaded only by the matrix API: ``bell_projectors``,
-``TwoQubitState`` and ``bell_diagonal_density``, which writes each state's
-matrix from its weights rather than summing projectors.
+A density matrix obeys three rules, stated once in ``density_spectrum``:
+it is Hermitian, its trace is 1 within DENSITY_TOL, and its eigenvalues
+are >= -DENSITY_TOL. ``TwoQubitState`` applies them to a matrix, and the
+``ppt`` route to the rows ``block_rows`` writes from a state's
+``bell_blocks``, as nested lists of Python numbers. numpy is loaded only
+by the matrix API: ``bell_projectors``, ``TwoQubitState`` and
+``bell_diagonal_density``, which writes each state's matrix from the same
+rows rather than summing projectors.
 
 Physical states fill the tetrahedron x, y, z <= 1 with x + y + z >= -1,
 whose vertices map to the four Bell projectors. ``nonnegative_weights`` is
@@ -152,32 +157,55 @@ class TwoQubitState:
         arr = np.asarray(self.matrix, dtype=np.complex128)
         if arr.shape != (4, 4):
             raise ValueError(f"density matrix must be 4x4, got shape {arr.shape}")
-        spectrum = hermitian_eigenvalues(arr)
-        trace, lowest = float(arr.trace().real), spectrum.values[-1]
-        if abs(trace - 1.0) > DENSITY_TOL:
-            raise UnphysicalStateError(f"density matrix trace is {trace!r}, expected 1")
-        if lowest < -DENSITY_TOL:
-            raise UnphysicalStateError(f"density matrix has negative eigenvalue {lowest!r}")
+        object.__setattr__(self, "spectrum", density_spectrum(arr.tolist()))
         object.__setattr__(self, "matrix", arr)
-        object.__setattr__(self, "spectrum", spectrum)
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "TwoQubitState":
         return cls(matrix=m)
 
 
-def bell_diagonal_density(s: BellDiagonalState) -> TwoQubitState:
-    """Density matrix sum_k w_k P_k of a physical Bell-diagonal state, built
-    from its phi block (a, b) and psi block (c, d): each entry adds its two
-    nonzero terms w_k * h in projector order, so it is that sum bit for bit."""
-    import numpy as np
+def density_spectrum(rows: list[list[complex]]) -> Spectrum:
+    """Spectrum of the 4x4 density matrix with these rows: the density rules.
 
+    ValueError unless the rows are Hermitian within
+    ``linalg.HERMITICITY_TOL`` (and square, finite); UnphysicalStateError
+    unless the trace is 1 within DENSITY_TOL and every eigenvalue is
+    >= -DENSITY_TOL.
+    """
+    spectrum = hermitian_eigenvalues(rows)
+    # numpy's trace order, 0.0 + pairwise sum, so the value is an array's
+    trace = 0.0 + ((rows[0][0].real + rows[1][1].real) + (rows[2][2].real + rows[3][3].real))
+    if abs(trace - 1.0) > DENSITY_TOL:
+        raise UnphysicalStateError(f"density matrix trace is {trace!r}, expected 1")
+    if spectrum.values[-1] < -DENSITY_TOL:
+        raise UnphysicalStateError(
+            f"density matrix has negative eigenvalue {spectrum.values[-1]!r}")
+    return spectrum
+
+
+def bell_blocks(s: BellDiagonalState) -> tuple[float, float, float, float]:
+    """(a, b, c, d) of a physical Bell-diagonal state's density matrix
+    sum_k w_k P_k: its phi block [[a, b], [b, a]] on (up-up, down-down) and
+    its psi block [[c, d], [d, c]] on (up-down, down-up). Each adds its two
+    nonzero terms w_k * h in projector order, so it is that sum bit for bit."""
     h = _SQRT_HALF * _SQRT_HALF  # each projector entry's magnitude, as rounded
     phi_p, phi_m, psi_p, psi_m = (w * h for w in physical_weights(s))
-    a, b, c, d = phi_p + phi_m, phi_p - phi_m, psi_p + psi_m, psi_p - psi_m
-    m = np.array([[a, 0.0, 0.0, b], [0.0, c, d, 0.0], [0.0, d, c, 0.0], [b, 0.0, 0.0, a]],
-                 dtype=np.complex128)
-    return TwoQubitState(matrix=m)
+    return phi_p + phi_m, phi_p - phi_m, psi_p + psi_m, psi_p - psi_m
+
+
+def block_rows(a: float, b: float, c: float, d: float) -> list[list[float]]:
+    """Rows of the real matrix with phi block (a, b) and psi block (c, d).
+    Transposing qubit B swaps b and d: it has block_rows(a, d, c, b)."""
+    return [[a, 0.0, 0.0, b], [0.0, c, d, 0.0], [0.0, d, c, 0.0], [b, 0.0, 0.0, a]]
+
+
+def bell_diagonal_density(s: BellDiagonalState) -> TwoQubitState:
+    """Density matrix sum_k w_k P_k of a physical Bell-diagonal state:
+    ``block_rows`` of its ``bell_blocks``, as a TwoQubitState."""
+    import numpy as np
+
+    return TwoQubitState(matrix=np.array(block_rows(*bell_blocks(s)), dtype=np.complex128))
 
 
 def werner(x: float) -> BellDiagonalState:

@@ -393,8 +393,8 @@ def test_cli_import_leaves_process_pools_out():
     assert result.stdout.strip() == "[]"
 
 
-# Every command but a ppt classification is scalar arithmetic on the Bell
-# weights; numpy's import would be most of their start-up time.
+# Every command is scalar arithmetic on the Bell weights, ppt's eigensolves
+# included; numpy's import would be most of their start-up time.
 NUMPY_FREE_COMMANDS = [
     ["cond", "--xyz", "0.7,0.5,0.4", "--q", "2"],
     ["entropy", "--xyz", "0.7,0.5,0.4", "--q", "2"],
@@ -405,6 +405,7 @@ NUMPY_FREE_COMMANDS = [
     ["figure", "fig3"],
     ["scan", "--range=-1:1:5", "--method", "ar-asymptotic"],
     ["scan", "--range=-1:1:5", "--method", "ar-scan"],
+    ["scan", "--range=-1:1:5", "--method", "ppt"],
 ]
 NUMPY_PROBE = """
 import contextlib, io, json, sys
@@ -427,7 +428,7 @@ PPT_CLASSIFY = (
 )
 
 
-def test_only_the_ppt_method_loads_numpy():
+def test_no_command_loads_numpy():
     commands = NUMPY_FREE_COMMANDS + [["classify", "--xyz", "0.7,0.5,0.4", "--method", "ppt"]]
     result = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(commands)],
                             capture_output=True, text=True, env=package_env(), timeout=120,
@@ -435,7 +436,7 @@ def test_only_the_ppt_method_loads_numpy():
     loaded, ppt_output = json.loads(result.stdout)
     assert loaded[:2] == [False, False]  # import qsep; import qsep.cli
     assert loaded[2:-1] == [[0, False]] * len(NUMPY_FREE_COMMANDS)
-    assert loaded[-1] == [0, True]
+    assert loaded[-1] == [0, False]
     assert ppt_output == PPT_CLASSIFY
 
 
@@ -935,3 +936,21 @@ def test_every_harness_command_matches_the_committed_manifest(capsys):
         if compare_outputs.manifest_entry(entry["argv"], out, code) != entry:
             moved.append(" ".join(entry["argv"]))
     assert moved == []
+
+
+def test_check_manifest_exits_1_when_a_command_moves(monkeypatch, tmp_path, capsys):
+    # --check-manifest against a manifest that a stand-in runner wrote
+    compare_outputs = load_compare_outputs()
+    monkeypatch.setattr(compare_outputs, "MANIFEST", tmp_path / "manifest.json")
+    monkeypatch.setattr(compare_outputs, "run", lambda src, argv: (" ".join(argv).encode(), 0))
+    compare_outputs.write_manifest()
+    assert compare_outputs.main(["--check-manifest"]) == 0
+    moved = list(compare_outputs.COMMANDS[3])
+    monkeypatch.setattr(compare_outputs, "run", lambda src, argv: (
+        b"" if argv == moved else " ".join(argv).encode(), 0))
+    capsys.readouterr()
+    assert compare_outputs.main(["--check-manifest"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    count = len(compare_outputs.COMMANDS)
+    assert lines[3] == f"stdout differ: qsep {' '.join(moved)} (exit 0 -> 0)"
+    assert lines[-1] == f"{count - 1} of {count} commands identical"

@@ -1,9 +1,12 @@
 """Unit tests for the dense linear-algebra layer."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import qsep.linalg
@@ -11,6 +14,8 @@ from qsep import (
     ConvergenceError,
     NumericalError,
     Spectrum,
+    TwoQubitState,
+    UnphysicalStateError,
     bell_diagonal_density,
     hermitian_eigenvalues,
     partial_trace,
@@ -20,7 +25,7 @@ from qsep import (
     werner,
 )
 from qsep.cli import main
-from qsep.states import BellDiagonalState, bell_weights
+from qsep.states import BellDiagonalState, bell_weights, density_spectrum
 
 
 def test_tensor_product_diagonal_example():
@@ -132,6 +137,77 @@ def test_hermitian_eigenvalues_symmetrises_tiny_asymmetry():
     m[0, 1] += 1e-11
     spectrum = hermitian_eigenvalues(m)
     assert spectrum.values == pytest.approx((0.4, 0.3, 0.2, 0.1), abs=1e-10)
+
+
+@st.composite
+def hermitian_rows(draw):
+    """A Hermitian 2x2 or 4x4 matrix as nested lists, entries drawn as
+    floats and complex numbers, the lower triangle off by up to 1e-12."""
+    n = draw(st.sampled_from((2, 4)))
+    entry = st.floats(-10.0, 10.0)
+    rows = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = draw(entry)
+        for j in range(i + 1, n):
+            rows[i][j] = draw(st.one_of(entry, st.builds(complex, entry, entry)))
+            rows[j][i] = complex(rows[i][j]).conjugate() + draw(st.floats(-1e-12, 1e-12))
+    return rows
+
+
+def _bits(spectrum: Spectrum) -> tuple:
+    return tuple(struct.pack("<d", v) for v in spectrum.values), spectrum.stochastic
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(hermitian_rows())
+def test_rows_and_their_array_have_one_spectrum(rows):
+    snapshot = [list(row) for row in rows]
+    by_rows = hermitian_eigenvalues(rows)
+    assert _bits(by_rows) == _bits(hermitian_eigenvalues(np.array(rows)))
+    assert rows == snapshot  # the caller's rows are left as they were
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[1.0, 0.0], [0.0]], "must be square"),
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "must be square"),
+    ([1.0, 0.0], "must be square"),
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "2x2 or 4x4, got 3"),
+    ([], "2x2 or 4x4, got 0"),
+    ([[1.0, math.nan], [math.nan, 1.0]], "non-finite"),
+    ([[1.0, 0.0], [0.0, complex(0.0, math.inf)]], "non-finite"),
+    ([[None, 0.0], [0.0, 1.0]], "must be numbers"),
+    ([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]], "must be numbers"),
+    ([[1.0, 1e-6], [0.0, 1.0]], r"not Hermitian.*\(0, 1\)"),
+])
+def test_rows_are_checked_as_an_array_is(rows, message):
+    with pytest.raises(ValueError, match=message):
+        hermitian_eigenvalues(rows)
+
+
+def test_rows_that_are_not_lists_go_through_numpy():
+    assert hermitian_eigenvalues([(0.75, 0.25), (0.25, 0.75)]).values == (1.0, 0.5)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0.5, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 0.0]],
+    [[0.75, 0.5, 0.0, 0.0], [0.5, 0.25, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]],
+    [[-0.0, 0.0, 0.0, 0.0], [0.0, -0.0, 0.0, 0.0], [0.0, 0.0, -0.0, 0.0], [0.0, 0.0, 0.0, -0.0]],
+    [[0.4, 1e-6, 0.0, 0.0], [0.0, 0.3, 0.0, 0.0], [0.0, 0.0, 0.2, 0.0], [0.0, 0.0, 0.0, 0.1]],
+], ids=["trace", "negative-eigenvalue", "zero-trace", "not-hermitian"])
+def test_density_rows_fail_as_a_two_qubit_state_does(rows):
+    with pytest.raises((ValueError, UnphysicalStateError)) as by_rows:
+        density_spectrum(rows)
+    with pytest.raises(type(by_rows.value)) as by_state:
+        TwoQubitState(np.array(rows))
+    assert str(by_rows.value) == str(by_state.value)
+    if "trace" in str(by_rows.value):  # numpy's trace, sign of zero included
+        assert f"trace is {float(np.array(rows).trace().real)!r}," in str(by_rows.value)
+
+
+def test_density_rows_have_the_two_qubit_state_spectrum():
+    rows = [[0.4, 0.1j, 0.0, 0.0], [-0.1j, 0.3, 0.0, 0.0], [0.0, 0.0, 0.2, 0.05],
+            [0.0, 0.0, 0.05, 0.1]]
+    assert _bits(density_spectrum(rows)) == _bits(TwoQubitState(np.array(rows)).spectrum)
 
 
 def test_spectrum_sorts_descending_and_detects_stochastic():

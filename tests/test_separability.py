@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from qsep import (
     threshold_x,
     werner,
 )
+import qsep.linalg
 import qsep.separability
 from qsep.criticality import Q_FLOOR, Q_MAX_DEFAULT, SEARCH_POINTS, eta_field
 from qsep.entropy import bell_log_pairs, entropy_kernel
@@ -89,6 +91,38 @@ def test_ppt_witness_equals_max_weight_margin(rng):
         via_ppt = ppt_classify(bell_diagonal_density(s)).witness
         via_weights = ar_classify_asymptotic(s).witness
         assert via_ppt == pytest.approx(via_weights, abs=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(helpers.tetrahedron_states(), st.one_of(st.none(), st.floats(0.0, 0.6)))
+@example(BellDiagonalState(1.0, 1.0, -1.0), None)  # a zero witness
+@example(werner(1.0 / 3.0), 0.25)
+def test_ppt_on_a_bell_state_is_ppt_on_its_matrix(s, band):
+    # classify_state's ppt route works on rows, the matrix route on arrays:
+    # the same Classification, witness bit for bit, the sign of zero included
+    by_rows = classify_state(s, "ppt", band)
+    by_matrix = ppt_classify(bell_diagonal_density(s), band)
+    assert by_rows == by_matrix
+    assert struct.pack("<d", by_rows.witness) == struct.pack("<d", by_matrix.witness)
+
+
+def test_ppt_on_a_bell_state_makes_two_eigensolves(monkeypatch):
+    # one checks rho as TwoQubitState would, one decides the verdict
+    original = qsep.linalg.hermitian_eigenvalues
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    callers = [module for name, module in list(sys.modules.items())
+               if name.split(".")[0] == "qsep"
+               and getattr(module, "hermitian_eigenvalues", None) is original]
+    for module in callers:
+        monkeypatch.setattr(module, "hermitian_eigenvalues", counting)
+    for k, s in enumerate((werner(0.2), werner(0.9), BellDiagonalState(0.1, -0.2, 0.3))):
+        classify_state(s, "ppt")
+        assert len(calls) == 2 * (k + 1)
 
 
 @pytest.mark.parametrize("method", ["ppt", "ar-asymptotic", "ar-scan"])

@@ -20,6 +20,14 @@ command with its argv, its exit code and the SHA-256 of its stdout. The
 test suite runs every command in process and compares it with the manifest,
 so a change that moves output bytes commits the new manifest, whose diff
 names the commands that moved.
+
+    python tools/compare_outputs.py --check-manifest
+
+runs each command of ``COMMANDS`` once as a fresh ``python -m qsep`` with
+this tree's src and compares its exit code and stdout digest with
+``MANIFEST``, one line per command as above; the exit status is 1 if any
+command differs. Run by an interpreter without numpy, it checks that every
+command works without numpy.
 """
 
 from __future__ import annotations
@@ -100,28 +108,40 @@ def write_manifest() -> None:
     print(f"{len(entries)} commands written to {MANIFEST}")
 
 
+def compare(expected) -> int:
+    """Run each command of ``COMMANDS`` with this tree's src and compare it
+    with ``expected(command)``, a manifest entry; print one line per command
+    and return 1 if any differs, else 0."""
+    differing = 0
+    for command in COMMANDS:
+        old, new = expected(command), manifest_entry(command, *run(SRC, command))
+        diffs = [name for name, key in (("stdout", "sha256"), ("exit code", "exit"))
+                 if old[key] != new[key]]
+        differing += bool(diffs)
+        verdict = f"{' and '.join(diffs)} differ" if diffs else "identical"
+        print(f"{verdict}: qsep {' '.join(command)} (exit {old['exit']} -> {new['exit']})",
+              flush=True)
+    print(f"{len(COMMANDS) - differing} of {len(COMMANDS)} commands identical")
+    return 1 if differing else 0
+
+
 def main(argv: list[str]) -> int:
     if argv == ["--write-manifest"]:
         write_manifest()
         return 0
+    if argv == ["--check-manifest"]:
+        recorded = {json.dumps(entry["argv"]): entry
+                    for entry in json.loads(MANIFEST.read_text(encoding="utf-8"))}
+        return compare(lambda command: recorded[json.dumps(command)])
     if len(argv) != 1:
-        print("usage: python tools/compare_outputs.py PARENT_ROOT | --write-manifest",
-              file=sys.stderr)
+        print("usage: python tools/compare_outputs.py PARENT_ROOT | --write-manifest"
+              " | --check-manifest", file=sys.stderr)
         return 2
     parent_src = Path(argv[0]).resolve() / "src"
     if not (parent_src / "qsep").is_dir():
         print(f"error: no qsep package under {parent_src}", file=sys.stderr)
         return 2
-    differing = 0
-    for command in COMMANDS:
-        (old_out, old_code), (new_out, new_code) = run(parent_src, command), run(SRC, command)
-        diffs = [name for name, same in (("stdout", old_out == new_out),
-                                         ("exit code", old_code == new_code)) if not same]
-        differing += bool(diffs)
-        verdict = f"{' and '.join(diffs)} differ" if diffs else "identical"
-        print(f"{verdict}: qsep {' '.join(command)} (exit {old_code} -> {new_code})", flush=True)
-    print(f"{len(COMMANDS) - differing} of {len(COMMANDS)} commands identical")
-    return 1 if differing else 0
+    return compare(lambda command: manifest_entry(command, *run(parent_src, command)))
 
 
 if __name__ == "__main__":

@@ -12,8 +12,10 @@ first tensor factor is the slow index. Eigenvalues come from a cyclic Jacobi
 solver so the package does not depend on LAPACK behaviour for its core
 results; tests cross-check it against an independent solver. The solver, its
 Hermiticity check and the symmetrisation run on the matrix as nested lists of
-Python complex numbers: for a 4x4 matrix that is several times faster than
-indexing numpy scalars, and it is still free of LAPACK.
+Python numbers: floats when every entry of the rows given is a float (real
+symmetric rows, such as the Bell-diagonal ``ppt`` route's, stay real),
+complex numbers otherwise. For a 4x4 matrix that is several times faster
+than indexing numpy scalars, and it is still free of LAPACK.
 """
 
 from __future__ import annotations
@@ -34,6 +36,11 @@ HERMITICITY_TOL = 1e-10
 OFFDIAG_TOL = 1e-13
 MAX_SWEEPS = 100
 STOCHASTIC_TOL = 1e-9
+# Matrices whose entries' magnitudes sum to this or more are solved scaled
+# by 2**-8. Below it no step of the solve can overflow: that sum bounds the
+# spectral norm, hence every entry of every rotated matrix, and no
+# intermediate exceeds twice it.
+_UNSCALED_MAX = 2.0 ** 1020
 
 
 @dataclass(frozen=True)
@@ -51,10 +58,10 @@ class Spectrum:
 
     @classmethod
     def from_values(cls, values: Iterable[float], stochastic: bool | None = None) -> "Spectrum":
-        vals = tuple(sorted((float(v) for v in values), reverse=True))
+        vals = tuple(sorted(map(float, values), reverse=True))
         if not vals:
             raise ValueError("spectrum needs at least one eigenvalue")
-        if any(not math.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise ValueError("spectrum values must be finite")
         try:
             total = math.fsum(vals)
@@ -67,7 +74,7 @@ class Spectrum:
             raise ValueError(
                 f"values are not a probability spectrum: sum = {total!r}, min = {vals[-1]!r}"
             )
-        return cls(values=vals, stochastic=bool(stochastic))
+        return cls(vals, bool(stochastic))
 
     @classmethod
     def uniform(cls, dim: int) -> "Spectrum":
@@ -128,6 +135,9 @@ def partial_transpose(m: np.ndarray, on: str) -> np.ndarray:
     return out.reshape(4, 4).copy()
 
 
+# Entries (i, j) with i <= j, row-major: the Hermiticity pass's order.
+_UPPER = {n: tuple((i, j) for i in range(n) for j in range(i, n)) for n in (2, 4)}
+
 # Rotation order of one cyclic sweep: each pair (p, q) with p < q, row-major,
 # and the indices the rotation mixes into it.
 _SWEEP_ORDER = {
@@ -141,7 +151,8 @@ def _jacobi_eigenvalues(a: list[list[complex]]) -> list[float]:
     """Cyclic Jacobi diagonalisation of a Hermitian matrix, given as rows.
 
     Each step applies an exact 2x2 unitary rotation (a real Givens rotation
-    composed with a phase) that annihilates one off-diagonal pair. Sweeps
+    composed with a phase) that annihilates one off-diagonal pair; on real
+    symmetric rows the phase is a float and the rows stay real. Sweeps
     repeat until the largest off-diagonal magnitude drops below OFFDIAG_TOL;
     more than MAX_SWEEPS sweeps raises ConvergenceError. The rows are
     updated in place.
@@ -150,7 +161,7 @@ def _jacobi_eigenvalues(a: list[list[complex]]) -> list[float]:
     sweep = _SWEEP_ORDER[n]
     hypot, sqrt = math.hypot, math.sqrt
     for _ in range(MAX_SWEEPS):
-        off = max(abs(a[p][q]) for p, q, _ in sweep)
+        off = max([abs(a[p][q]) for p, q, _ in sweep])
         if off < OFFDIAG_TOL:
             return [a[i][i].real for i in range(n)]
         for p, q, others in sweep:
@@ -193,37 +204,60 @@ def hermitian_eigenvalues(m: list[list[complex]] | np.ndarray) -> Spectrum:
 
     m is an array, or a list of row lists, which is checked as
     ``_as_operator`` checks an array (square, of dimension 2 or 4, finite)
-    without numpy; complex() gives each entry the value numpy's complex128
-    conversion gives it. The caller's matrix is left as it was. Inputs may
-    deviate from exact Hermiticity by at most HERMITICITY_TOL in any entry;
-    the pass that checks this also symmetrises the matrix. Probability
-    spectra (sum one, nonnegative) come back flagged stochastic.
+    without numpy. Rows whose entries are all Python floats are copied and
+    solved in real arithmetic; any other rows are converted by complex(),
+    which gives each entry the value numpy's complex128 conversion gives it.
+    Float rows give the Spectrum their complex values give, bit for bit. The
+    caller's matrix is left as it was. Inputs may deviate from exact
+    Hermiticity by at most HERMITICITY_TOL in any entry; the pass that
+    checks this also symmetrises the matrix. A matrix whose entries'
+    magnitudes sum to 2**1020 or more is solved scaled by 2**-8, an exact
+    power of two, so that no step overflows; below that sum nothing is
+    scaled. Probability spectra (sum one, nonnegative) come back flagged
+    stochastic.
     """
+    real = False
     if not (isinstance(m, list) and all([isinstance(row, list) for row in m])):
         rows = _as_operator(m, (2, 4)).tolist()
     elif len(m) not in (2, 4) or any([len(row) != len(m) for row in m]):
         raise ValueError(f"matrix must be square, 2x2 or 4x4, got {len(m)} rows")
+    elif all(type(v) is float for row in m for v in row):
+        real, rows = True, [row[:] for row in m]
     else:
         try:
             rows = [list(map(complex, row)) for row in m]
         except TypeError:  # None, or a list one level too deep
             raise ValueError("matrix entries must be numbers") from None
+    scale = 1.0
+    if not sum(map(abs, chain.from_iterable(rows))) < _UNSCALED_MAX:
         if not all(map(cmath.isfinite, chain.from_iterable(rows))):
             raise ValueError("matrix contains non-finite entries")
-    n = len(rows)
+        # each entry is below 2**1024, so below 2**1016 once scaled: the
+        # scaled sum of at most 16 is below _UNSCALED_MAX
+        scale = 2.0 ** 8
+        rows = [[v / scale for v in row] for row in rows]
     # |m - m^H| is symmetric: its first maximum, row-major, has i <= j. Each
-    # (m + m^H)/2 entry is its own sum; a mirror's conjugate may flip a zero
+    # (m + m^H)/2 entry is its own sum; a mirror's conjugate may flip a zero.
+    # A complex divided by 2.0 has real part (re + im * 0.0) / 2.0, which
+    # turns a -0.0 sum into +0.0; adding 0.0 gives a real entry those bits.
     amax, at = 0.0, (0, 0)
-    for i in range(n):
-        for j in range(i, n):
-            mij, mji = rows[i][j], rows[j][i]
+    for i, j in _UPPER[len(rows)]:
+        ri, rj = rows[i], rows[j]
+        mij, mji = ri[j], rj[i]
+        if real:
+            d = abs(mij - mji)
+            ri[j] = rj[i] = (mij + mji + 0.0) / 2.0
+        else:
             d = abs(mij - mji.conjugate())
-            if d > amax:
-                amax, at = d, (i, j)
-            rows[i][j], rows[j][i] = (mij + mji.conjugate()) / 2.0, (mji + mij.conjugate()) / 2.0
+            ri[j], rj[i] = (mij + mji.conjugate()) / 2.0, (mji + mij.conjugate()) / 2.0
+        if d > amax:
+            amax, at = d, (i, j)
+    amax *= scale
     if amax > HERMITICITY_TOL:
         raise ValueError(
             f"matrix is not Hermitian: max |m - m^H| = {amax:.3e} at entry {at}"
         )
-    return Spectrum.from_values(_jacobi_eigenvalues(rows))
-
+    values = _jacobi_eigenvalues(rows)
+    if scale != 1.0:
+        values = [v * scale for v in values]
+    return Spectrum.from_values(values)

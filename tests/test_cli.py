@@ -910,13 +910,13 @@ def test_installed_console_script():
 
 
 # ---------------------------------------------------------------------------
-# the committed byte manifest
+# the committed byte manifest, and the other tools
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
-def load_compare_outputs():
-    spec = importlib.util.spec_from_file_location("compare_outputs", TOOLS / "compare_outputs.py")
+def load_tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -926,7 +926,7 @@ def test_every_harness_command_matches_the_committed_manifest(capsys):
     # tools/compare_outputs.py --write-manifest records each command's exit
     # code and the SHA-256 of its stdout from a fresh `python -m qsep`; here
     # each runs in process. A change that moves bytes commits a new manifest.
-    compare_outputs = load_compare_outputs()
+    compare_outputs = load_tool("compare_outputs")
     manifest = json.loads(compare_outputs.MANIFEST.read_text(encoding="utf-8"))
     assert [entry["argv"] for entry in manifest] == [list(c) for c in compare_outputs.COMMANDS]
     moved = []
@@ -940,7 +940,7 @@ def test_every_harness_command_matches_the_committed_manifest(capsys):
 
 def test_check_manifest_exits_1_when_a_command_moves(monkeypatch, tmp_path, capsys):
     # --check-manifest against a manifest that a stand-in runner wrote
-    compare_outputs = load_compare_outputs()
+    compare_outputs = load_tool("compare_outputs")
     monkeypatch.setattr(compare_outputs, "MANIFEST", tmp_path / "manifest.json")
     monkeypatch.setattr(compare_outputs, "run", lambda src, argv: (" ".join(argv).encode(), 0))
     compare_outputs.write_manifest()
@@ -954,3 +954,35 @@ def test_check_manifest_exits_1_when_a_command_moves(monkeypatch, tmp_path, caps
     count = len(compare_outputs.COMMANDS)
     assert lines[3] == f"stdout differ: qsep {' '.join(moved)} (exit 0 -> 0)"
     assert lines[-1] == f"{count - 1} of {count} commands identical"
+
+
+COUNTED_SOURCE = '''"""Module docstring,
+over two lines."""
+
+import os  # a comment after code
+
+
+def f(x):
+    """Function docstring."""
+    # a comment line
+    text = """a string,
+not a docstring"""
+    return len(text) + x
+
+
+class C:
+    \'\'\'Class docstring.\'\'\'
+
+    y = ("a", "b")
+'''
+
+
+def test_count_code_leaves_out_docstrings_comments_and_blank_lines(tmp_path, capsys):
+    count_code = load_tool("count_code")
+    # import, def, the two-line string, return, class, y
+    assert count_code.code_lines(COUNTED_SOURCE) == 7
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "b.py").write_text(COUNTED_SOURCE, encoding="utf-8")
+    (tmp_path / "a.py").write_text('"""Only a docstring."""\n\nX = 1\n', encoding="utf-8")
+    assert count_code.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "a.py\t1\nsub/b.py\t7\ntotal\t8\n"

@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -17,6 +17,7 @@ from qsep import (
     TwoQubitState,
     UnphysicalStateError,
     bell_diagonal_density,
+    classify_state,
     hermitian_eigenvalues,
     partial_trace,
     partial_transpose,
@@ -154,17 +155,88 @@ def hermitian_rows(draw):
     return rows
 
 
+@st.composite
+def real_rows(draw):
+    """A real symmetric 2x2 or 4x4 matrix as nested lists of Python floats,
+    signed zeros and subnormals among the entries, each mirror entry equal
+    or off by up to 1e-12."""
+    n = draw(st.sampled_from((2, 4)))
+    entry = st.one_of(st.floats(-10.0, 10.0), st.sampled_from((0.0, -0.0, 5e-324, -2.5e-320)))
+    rows = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = draw(entry)
+        for j in range(i + 1, n):
+            rows[i][j] = draw(entry)
+            off = draw(st.one_of(st.none(), st.floats(-1e-12, 1e-12)))
+            rows[j][i] = rows[i][j] if off is None else rows[i][j] + off
+    return rows
+
+
 def _bits(spectrum: Spectrum) -> tuple:
     return tuple(struct.pack("<d", v) for v in spectrum.values), spectrum.stochastic
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(hermitian_rows())
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(st.one_of(hermitian_rows(), real_rows()))
+@example([[-0.0, 0.0], [0.0, 0.25]])  # a -0.0 eigenvalue is +0.0 on both routes
+# mirrored -0.0 entries, and an off-diagonal pair too small to rotate
+@example([[0.5, -0.0, 0.0, 0.0], [-0.0, -0.0, 0.0, 0.0], [0.0, 0.0, 0.25, 1e-300],
+          [0.0, 0.0, 1e-300, -0.0]])
 def test_rows_and_their_array_have_one_spectrum(rows):
     snapshot = [list(row) for row in rows]
     by_rows = hermitian_eigenvalues(rows)
     assert _bits(by_rows) == _bits(hermitian_eigenvalues(np.array(rows)))
-    assert rows == snapshot  # the caller's rows are left as they were
+    assert repr(rows) == repr(snapshot)  # the caller's rows, signed zeros included
+
+
+def _solver_entry_types(monkeypatch) -> list[set]:
+    """Patch the Jacobi solver to record the entry types of each matrix it
+    is given."""
+    seen, solve = [], qsep.linalg._jacobi_eigenvalues
+
+    def recording(a):
+        seen.append({type(v) for row in a for v in row})
+        return solve(a)
+
+    monkeypatch.setattr(qsep.linalg, "_jacobi_eigenvalues", recording)
+    return seen
+
+
+def test_bell_ppt_rows_reach_the_solver_as_floats(monkeypatch):
+    seen = _solver_entry_types(monkeypatch)
+    classify_state(BellDiagonalState(0.3, -0.2, 0.1), "ppt")
+    assert seen == [{float}, {float}]  # rho's check, then its partial transpose
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0], [0, 1]],
+    [[True, False], [False, True]],
+    [[np.float64(0.5), 0.0], [0.0, 0.5]],
+    [[0.5, 0.0], [0.0, 0.5 + 0j]],
+    np.eye(2),
+], ids=["int", "bool", "numpy-scalar", "complex", "array"])
+def test_rows_not_all_floats_take_the_complex_route(monkeypatch, rows):
+    seen = _solver_entry_types(monkeypatch)
+    hermitian_eigenvalues(rows)
+    assert seen == [{complex}]
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["rows", "array"])
+def test_huge_entries_are_solved_scaled(as_array, rng):
+    # (m + m^H)/2 of these entries overflows unless the matrix is scaled
+    cases = [[[1e308, 1e307], [1e307, -1e308]], [[1.7e308, 0.0], [0.0, 1.7e308]]]
+    for _ in range(20):
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        cases.append(((m + m.conj().T) * 2e306).tolist())
+    for m in cases:
+        got = hermitian_eigenvalues(np.array(m) if as_array else m).values
+        expected = sorted(np.linalg.eigvalsh(np.array(m)), reverse=True)
+        assert got == pytest.approx(expected, rel=0, abs=1e-13 * max(map(abs, expected)))
+    # an eigenvalue beyond the largest float, and a huge asymmetry
+    for m, message in (([[1e308, 1e308], [1e308, 1e308]], "must be finite"),
+                       ([[1e308, 1e300], [0.0, 1e308]], r"not Hermitian.*\(0, 1\)")):
+        with pytest.raises(ValueError, match=message):
+            hermitian_eigenvalues(np.array(m) if as_array else m)
 
 
 @pytest.mark.parametrize("rows, message", [

@@ -13,9 +13,10 @@ solver so the package does not depend on LAPACK behaviour for its core
 results; tests cross-check it against an independent solver. The solver, its
 Hermiticity check and the symmetrisation run on the matrix as nested lists of
 Python numbers: floats when every entry of the rows given is a float (real
-symmetric rows, such as the Bell-diagonal ``ppt`` route's, stay real),
-complex numbers otherwise. For a 4x4 matrix that is several times faster
-than indexing numpy scalars, and it is still free of LAPACK.
+symmetric rows, such as the 2x2 blocks of the partial transpose that the
+Bell-diagonal ``ppt`` route solves, stay real), complex numbers otherwise.
+For a 4x4 matrix that is several times faster than indexing numpy scalars,
+and it is still free of LAPACK.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from .errors import ConvergenceError
 if TYPE_CHECKING:
     import numpy as np
 
+# Largest |m - m^H| entry an eigensolve accepts, in units of the largest
+# entry of (m + m^H)/2 when that exceeds 1.
 HERMITICITY_TOL = 1e-10
 # Jacobi convergence: largest off-diagonal magnitude after a full sweep.
 OFFDIAG_TOL = 1e-13
@@ -209,8 +212,9 @@ def hermitian_eigenvalues(m: list[list[complex]] | np.ndarray) -> Spectrum:
     which gives each entry the value numpy's complex128 conversion gives it.
     Float rows give the Spectrum their complex values give, bit for bit. The
     caller's matrix is left as it was. Inputs may deviate from exact
-    Hermiticity by at most HERMITICITY_TOL in any entry; the pass that
-    checks this also symmetrises the matrix. A matrix whose entries'
+    Hermiticity, in any entry, by at most HERMITICITY_TOL times the larger
+    of 1 and the largest magnitude in (m + m^H)/2; the pass that checks
+    this also symmetrises the matrix. A matrix whose entries'
     magnitudes sum to 2**1020 or more is solved scaled by 2**-8, an exact
     power of two, so that no step overflows; below that sum nothing is
     scaled. Probability spectra (sum one, nonnegative) come back flagged
@@ -253,7 +257,10 @@ def hermitian_eigenvalues(m: list[list[complex]] | np.ndarray) -> Spectrum:
         if d > amax:
             amax, at = d, (i, j)
     amax *= scale
-    if amax > HERMITICITY_TOL:
+    # the largest entry is looked up only past the absolute bound: the common
+    # path pays nothing, and entries of at most 1 keep that bound exactly
+    if amax > HERMITICITY_TOL and (
+            amax > HERMITICITY_TOL * scale * max(map(abs, chain.from_iterable(rows)))):
         raise ValueError(
             f"matrix is not Hermitian: max |m - m^H| = {amax:.3e} at entry {at}"
         )

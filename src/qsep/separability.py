@@ -4,10 +4,10 @@ Three routes, deliberately independent of each other:
 
 * ``ppt_classify`` is the exact oracle: partial transpose plus eigensolver.
   For two qubits, positivity of the partial transpose is necessary and
-  sufficient for separability. ``classify_state(s, "ppt")`` runs it on the
-  rows of a Bell-diagonal state's matrix, without numpy: one eigensolve
-  checks rho as ``TwoQubitState`` does, one solves the partial transpose,
-  and ``_ppt_verdict`` turns its lowest eigenvalue into the verdict on
+  sufficient for separability. ``classify_state(s, "ppt")`` runs it on a
+  Bell-diagonal state without numpy: its weights are checked once, by
+  ``physical_weights``, and the partial transpose is solved as its two 2x2
+  blocks; ``_ppt_verdict`` turns the lowest eigenvalue into the verdict on
   both routes, so the two give one Classification bit for bit.
 * ``ar_classify_asymptotic`` is the exact large-q limit of the conditional
   entropy criterion: separable iff no Bell weight exceeds 1/2, which carves
@@ -57,8 +57,6 @@ from .states import (
     BellDiagonalState,
     TwoQubitState,
     bell_blocks,
-    block_rows,
-    density_spectrum,
     nonnegative_weights,
     physical_weights,
     xyz_weights,
@@ -196,21 +194,24 @@ def ppt_classify(state: TwoQubitState | np.ndarray,
     """
     tol = boundary_tol_for("ppt", boundary_tol)
     state = state if isinstance(state, TwoQubitState) else TwoQubitState.from_matrix(state)
-    return _ppt_verdict(partial_transpose(state.matrix, on="B"), tol)
+    partial_transposed = partial_transpose(state.matrix, on="B")
+    return _ppt_verdict(hermitian_eigenvalues(partial_transposed).values[-1], tol)
 
 
 def _ppt_classify_bell(s: BellDiagonalState, boundary_tol=None) -> Classification:
-    # CLASSIFIERS' ppt entry: ppt_classify(bell_diagonal_density(s)) on rows,
-    # bit for bit; rho is checked as TwoQubitState checks its matrix
+    # CLASSIFIERS' ppt entry: ppt_classify(bell_diagonal_density(s)), bit for
+    # bit, with bell_blocks' weight check as the only physicality check.
+    # Transposing qubit B swaps b and d: the partial transpose is the direct
+    # sum of [[a, d], [d, a]] and [[c, b], [b, c]], each solved on its own.
     tol = boundary_tol_for("ppt", boundary_tol)
     a, b, c, d = bell_blocks(s)
-    density_spectrum(block_rows(a, b, c, d))
-    return _ppt_verdict(block_rows(a, d, c, b), tol)
+    return _ppt_verdict(min(hermitian_eigenvalues([[a, d], [d, a]]).values[-1],
+                            hermitian_eigenvalues([[c, b], [b, c]]).values[-1]), tol)
 
 
-def _ppt_verdict(partial_transposed, tol: float) -> Classification:
+def _ppt_verdict(lowest: float, tol: float) -> Classification:
     # 0.0 - the smallest eigenvalue, not its negation: a zero witness is +0.0
-    witness = 0.0 - hermitian_eigenvalues(partial_transposed).values[-1]
+    witness = 0.0 - lowest
     return Classification(_banded_verdict(witness, tol), "ppt", witness)
 
 

@@ -8,14 +8,13 @@ Conventions, fixed once for the whole package:
   weights ((1-x)/4, (1-y)/4, (1-z)/4, (1+x+y+z)/4) on them, in that order,
   as ``xyz_weights`` computes them.
 
-A density matrix obeys three rules, stated once in ``density_spectrum``:
-it is Hermitian, its trace is 1 within DENSITY_TOL, and its eigenvalues
-are >= -DENSITY_TOL. ``TwoQubitState`` applies them to a matrix, and the
-``ppt`` route to the rows ``block_rows`` writes from a state's
-``bell_blocks``, as nested lists of Python numbers. numpy is loaded only
-by the matrix API: ``bell_projectors``, ``TwoQubitState`` and
-``bell_diagonal_density``, which writes each state's matrix from the same
-rows rather than summing projectors.
+A density matrix obeys three rules, stated once in ``TwoQubitState``: it
+is Hermitian, its trace is 1 within DENSITY_TOL, and its eigenvalues are
+>= -DENSITY_TOL. numpy is loaded only by the matrix API:
+``bell_projectors``, ``TwoQubitState`` and ``bell_diagonal_density``, which
+writes each state's matrix from its ``bell_blocks`` rather than summing
+projectors. A Bell-diagonal state's weights are its spectrum, so the
+``ppt`` route checks them alone, through ``physical_weights``.
 
 Physical states fill the tetrahedron x, y, z <= 1 with x + y + z >= -1,
 whose vertices map to the four Bell projectors. ``nonnegative_weights`` is
@@ -157,31 +156,19 @@ class TwoQubitState:
         arr = np.asarray(self.matrix, dtype=np.complex128)
         if arr.shape != (4, 4):
             raise ValueError(f"density matrix must be 4x4, got shape {arr.shape}")
-        object.__setattr__(self, "spectrum", density_spectrum(arr.tolist()))
+        spectrum = hermitian_eigenvalues(arr)
+        trace = float(arr.trace().real)
+        if abs(trace - 1.0) > DENSITY_TOL:
+            raise UnphysicalStateError(f"density matrix trace is {trace!r}, expected 1")
+        if spectrum.values[-1] < -DENSITY_TOL:
+            raise UnphysicalStateError(
+                f"density matrix has negative eigenvalue {spectrum.values[-1]!r}")
+        object.__setattr__(self, "spectrum", spectrum)
         object.__setattr__(self, "matrix", arr)
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "TwoQubitState":
         return cls(matrix=m)
-
-
-def density_spectrum(rows: list[list[complex]]) -> Spectrum:
-    """Spectrum of the 4x4 density matrix with these rows: the density rules.
-
-    ValueError unless the rows are Hermitian within
-    ``linalg.HERMITICITY_TOL`` (and square, finite); UnphysicalStateError
-    unless the trace is 1 within DENSITY_TOL and every eigenvalue is
-    >= -DENSITY_TOL.
-    """
-    spectrum = hermitian_eigenvalues(rows)
-    # numpy's trace order, 0.0 + pairwise sum, so the value is an array's
-    trace = 0.0 + ((rows[0][0].real + rows[1][1].real) + (rows[2][2].real + rows[3][3].real))
-    if abs(trace - 1.0) > DENSITY_TOL:
-        raise UnphysicalStateError(f"density matrix trace is {trace!r}, expected 1")
-    if spectrum.values[-1] < -DENSITY_TOL:
-        raise UnphysicalStateError(
-            f"density matrix has negative eigenvalue {spectrum.values[-1]!r}")
-    return spectrum
 
 
 def bell_blocks(s: BellDiagonalState) -> tuple[float, float, float, float]:
@@ -194,18 +181,14 @@ def bell_blocks(s: BellDiagonalState) -> tuple[float, float, float, float]:
     return phi_p + phi_m, phi_p - phi_m, psi_p + psi_m, psi_p - psi_m
 
 
-def block_rows(a: float, b: float, c: float, d: float) -> list[list[float]]:
-    """Rows of the real matrix with phi block (a, b) and psi block (c, d).
-    Transposing qubit B swaps b and d: it has block_rows(a, d, c, b)."""
-    return [[a, 0.0, 0.0, b], [0.0, c, d, 0.0], [0.0, d, c, 0.0], [b, 0.0, 0.0, a]]
-
-
 def bell_diagonal_density(s: BellDiagonalState) -> TwoQubitState:
-    """Density matrix sum_k w_k P_k of a physical Bell-diagonal state:
-    ``block_rows`` of its ``bell_blocks``, as a TwoQubitState."""
+    """Density matrix sum_k w_k P_k of a physical Bell-diagonal state,
+    written from its ``bell_blocks``, as a TwoQubitState."""
     import numpy as np
 
-    return TwoQubitState(matrix=np.array(block_rows(*bell_blocks(s)), dtype=np.complex128))
+    a, b, c, d = bell_blocks(s)
+    rows = [[a, 0.0, 0.0, b], [0.0, c, d, 0.0], [0.0, d, c, 0.0], [b, 0.0, 0.0, a]]
+    return TwoQubitState(matrix=np.array(rows, dtype=np.complex128))
 
 
 def werner(x: float) -> BellDiagonalState:

@@ -4,9 +4,11 @@ strategies and the reference bisection."""
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from qsep import BellDiagonalState
+from qsep.states import WEIGHT_TOL, bell_weights, nonnegative_weights
 
 
 def random_physical_triples(rng: np.random.Generator, n: int) -> list[tuple[float, float, float]]:
@@ -78,3 +80,19 @@ def tetrahedron_states():
     Bell-weight simplex; the fourth weight is what the state's trace leaves.
     """
     return st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).map(_state_from_cuts)
+
+
+@st.composite
+def edge_states(draw):
+    """Hypothesis strategy for states just outside the tetrahedron that the
+    physicality rule still accepts: one to three Bell weights drawn in
+    [-WEIGHT_TOL, 0), the others uniform on the simplex of what is left.
+    Draws whose weights, recomputed from (x, y, z), fall below -WEIGHT_TOL
+    are rejected."""
+    small = draw(st.lists(st.floats(-WEIGHT_TOL, 0.0, exclude_max=True), min_size=1, max_size=3))
+    cuts = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=3 - len(small),
+                                max_size=3 - len(small))))
+    rest = [(hi - lo) * (1.0 - sum(small)) for lo, hi in zip([0.0, *cuts], [*cuts, 1.0])]
+    s = state_from_weights(draw(st.permutations(small + rest)))
+    assume(nonnegative_weights(bell_weights(s)))
+    return s

@@ -26,7 +26,7 @@ from qsep import (
     werner,
 )
 from qsep.cli import main
-from qsep.states import BellDiagonalState, bell_weights, density_spectrum
+from qsep.states import BellDiagonalState, bell_weights
 
 
 def test_tensor_product_diagonal_example():
@@ -140,6 +140,29 @@ def test_hermitian_eigenvalues_symmetrises_tiny_asymmetry():
     assert spectrum.values == pytest.approx((0.4, 0.3, 0.2, 0.1), abs=1e-10)
 
 
+@pytest.mark.parametrize("as_array", [False, True], ids=["rows", "array"])
+def test_hermiticity_bound_is_relative_to_entries_above_one(as_array, rng):
+    def solve(m):
+        return hermitian_eigenvalues(np.array(m) if as_array else m)
+
+    # a large Hermitian matrix whose only asymmetry is rounding is solved
+    for scale in (1.0, 1e7, 1e12):
+        for _ in range(10):
+            q = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+            m = scale * (q @ np.diag(rng.uniform(size=4)) @ q.conj().T)
+            expected = sorted(np.linalg.eigvalsh(m), reverse=True)
+            assert solve(m.tolist()).values == pytest.approx(expected, rel=0, abs=1e-14 * scale)
+    # the bound is HERMITICITY_TOL times the largest entry, or times 1 below that
+    for m, ok in (([[1e3, 5e-8], [0.0, 1e3]], True), ([[1e3, 2e-7], [0.0, 1e3]], False),
+                  ([[1.0, 5e-11], [0.0, 1.0]], True), ([[1.0, 2e-10], [0.0, 1.0]], False),
+                  ([[1e-3, 2e-10], [0.0, 1e-3]], False)):
+        if ok:
+            solve(m)
+        else:
+            with pytest.raises(ValueError, match=r"not Hermitian.*\(0, 1\)"):
+                solve(m)
+
+
 @st.composite
 def hermitian_rows(draw):
     """A Hermitian 2x2 or 4x4 matrix as nested lists, entries drawn as
@@ -189,13 +212,13 @@ def test_rows_and_their_array_have_one_spectrum(rows):
     assert repr(rows) == repr(snapshot)  # the caller's rows, signed zeros included
 
 
-def _solver_entry_types(monkeypatch) -> list[set]:
-    """Patch the Jacobi solver to record the entry types of each matrix it
-    is given."""
+def _solver_entry_types(monkeypatch) -> list[tuple[int, set]]:
+    """Patch the Jacobi solver to record the dimension and the entry types
+    of each matrix it is given."""
     seen, solve = [], qsep.linalg._jacobi_eigenvalues
 
     def recording(a):
-        seen.append({type(v) for row in a for v in row})
+        seen.append((len(a), {type(v) for row in a for v in row}))
         return solve(a)
 
     monkeypatch.setattr(qsep.linalg, "_jacobi_eigenvalues", recording)
@@ -205,7 +228,8 @@ def _solver_entry_types(monkeypatch) -> list[set]:
 def test_bell_ppt_rows_reach_the_solver_as_floats(monkeypatch):
     seen = _solver_entry_types(monkeypatch)
     classify_state(BellDiagonalState(0.3, -0.2, 0.1), "ppt")
-    assert seen == [{float}, {float}]  # rho's check, then its partial transpose
+    # the partial transpose's two 2x2 blocks; rho itself is not solved
+    assert seen == [(2, {float}), (2, {float})]
 
 
 @pytest.mark.parametrize("rows", [
@@ -218,7 +242,7 @@ def test_bell_ppt_rows_reach_the_solver_as_floats(monkeypatch):
 def test_rows_not_all_floats_take_the_complex_route(monkeypatch, rows):
     seen = _solver_entry_types(monkeypatch)
     hermitian_eigenvalues(rows)
-    assert seen == [{complex}]
+    assert seen == [(2, {complex})]
 
 
 @pytest.mark.parametrize("as_array", [False, True], ids=["rows", "array"])
@@ -260,26 +284,31 @@ def test_rows_that_are_not_lists_go_through_numpy():
     assert hermitian_eigenvalues([(0.75, 0.25), (0.25, 0.75)]).values == (1.0, 0.5)
 
 
-@pytest.mark.parametrize("rows", [
-    [[0.5, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 0.0]],
-    [[0.75, 0.5, 0.0, 0.0], [0.5, 0.25, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]],
-    [[-0.0, 0.0, 0.0, 0.0], [0.0, -0.0, 0.0, 0.0], [0.0, 0.0, -0.0, 0.0], [0.0, 0.0, 0.0, -0.0]],
-    [[0.4, 1e-6, 0.0, 0.0], [0.0, 0.3, 0.0, 0.0], [0.0, 0.0, 0.2, 0.0], [0.0, 0.0, 0.0, 0.1]],
+@pytest.mark.parametrize("rows, error, message", [
+    ([[0.5, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 0.0]],
+     UnphysicalStateError, "trace is 1.5, expected 1"),
+    ([[0.75, 0.5, 0.0, 0.0], [0.5, 0.25, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]],
+     UnphysicalStateError, "negative eigenvalue -0.0590169943"),
+    ([[-0.0, 0.0, 0.0, 0.0], [0.0, -0.0, 0.0, 0.0], [0.0, 0.0, -0.0, 0.0], [0.0, 0.0, 0.0, -0.0]],
+     UnphysicalStateError, "trace is 0.0, expected 1"),
+    ([[0.4, 1e-6, 0.0, 0.0], [0.0, 0.3, 0.0, 0.0], [0.0, 0.0, 0.2, 0.0], [0.0, 0.0, 0.0, 0.1]],
+     ValueError, r"not Hermitian: max \|m - m\^H\| = 1.000e-06 at entry \(0, 1\)"),
 ], ids=["trace", "negative-eigenvalue", "zero-trace", "not-hermitian"])
-def test_density_rows_fail_as_a_two_qubit_state_does(rows):
-    with pytest.raises((ValueError, UnphysicalStateError)) as by_rows:
-        density_spectrum(rows)
-    with pytest.raises(type(by_rows.value)) as by_state:
-        TwoQubitState(np.array(rows))
-    assert str(by_rows.value) == str(by_state.value)
-    if "trace" in str(by_rows.value):  # numpy's trace, sign of zero included
-        assert f"trace is {float(np.array(rows).trace().real)!r}," in str(by_rows.value)
+def test_density_rows_fail_as_a_two_qubit_state_does(rows, error, message):
+    # TwoQubitState states the density rules once, for rows and arrays alike
+    for m in (rows, np.array(rows)):
+        with pytest.raises(error, match=message) as failure:
+            TwoQubitState(m)
+        assert type(failure.value) is error
+    if "trace" in str(failure.value):  # numpy's own trace, sign of zero included
+        assert f"trace is {float(np.array(rows).trace().real)!r}," in str(failure.value)
 
 
 def test_density_rows_have_the_two_qubit_state_spectrum():
+    # the density checks keep the eigensolver's spectrum of the rows, bit for bit
     rows = [[0.4, 0.1j, 0.0, 0.0], [-0.1j, 0.3, 0.0, 0.0], [0.0, 0.0, 0.2, 0.05],
             [0.0, 0.0, 0.05, 0.1]]
-    assert _bits(density_spectrum(rows)) == _bits(TwoQubitState(np.array(rows)).spectrum)
+    assert _bits(TwoQubitState(np.array(rows)).spectrum) == _bits(hermitian_eigenvalues(rows))
 
 
 def test_spectrum_sorts_descending_and_detects_stochastic():

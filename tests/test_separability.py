@@ -29,6 +29,7 @@ from qsep import (
 )
 import qsep.linalg
 import qsep.separability
+import qsep.states
 from qsep.criticality import Q_FLOOR, Q_MAX_DEFAULT, SEARCH_POINTS, eta_field
 from qsep.entropy import bell_log_pairs, entropy_kernel
 from qsep.separability import (
@@ -94,12 +95,18 @@ def test_ppt_witness_equals_max_weight_margin(rng):
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(helpers.tetrahedron_states(), st.one_of(st.none(), st.floats(0.0, 0.6)))
+@given(st.one_of(helpers.tetrahedron_states(), helpers.edge_states()),
+       st.one_of(st.none(), st.floats(0.0, 0.6)))
 @example(BellDiagonalState(1.0, 1.0, -1.0), None)  # a zero witness
 @example(werner(1.0 / 3.0), 0.25)
+# Bell weights in [-WEIGHT_TOL, 0): phi+ at -9.75e-13, then phi+ and phi- at -7.5e-13
+@example(BellDiagonalState(1.0000000000039, 0.0, 0.0), None)
+@example(BellDiagonalState(1.000000000003, 1.000000000003, -3.000000000006), None)
 def test_ppt_on_a_bell_state_is_ppt_on_its_matrix(s, band):
-    # classify_state's ppt route works on rows, the matrix route on arrays:
-    # the same Classification, witness bit for bit, the sign of zero included
+    # classify_state's ppt route solves the partial transpose's 2x2 blocks,
+    # the matrix route the 4x4 array: the same Classification, witness bit
+    # for bit, the sign of zero included, on every state physical_weights
+    # accepts, those with weights just below zero too
     by_rows = classify_state(s, "ppt", band)
     by_matrix = ppt_classify(bell_diagonal_density(s), band)
     assert by_rows == by_matrix
@@ -107,11 +114,12 @@ def test_ppt_on_a_bell_state_is_ppt_on_its_matrix(s, band):
 
 
 def test_ppt_on_a_bell_state_makes_two_eigensolves(monkeypatch):
-    # one checks rho as TwoQubitState would, one decides the verdict
+    # one per 2x2 block of the partial transpose, and no solve of rho: the
+    # weights are rho's spectrum, and physical_weights has checked them
     original = qsep.linalg.hermitian_eigenvalues
     calls = []
 
-    def counting(m):
+    def recording(m):
         calls.append(m)
         return original(m)
 
@@ -119,10 +127,14 @@ def test_ppt_on_a_bell_state_makes_two_eigensolves(monkeypatch):
                if name.split(".")[0] == "qsep"
                and getattr(module, "hermitian_eigenvalues", None) is original]
     for module in callers:
-        monkeypatch.setattr(module, "hermitian_eigenvalues", counting)
-    for k, s in enumerate((werner(0.2), werner(0.9), BellDiagonalState(0.1, -0.2, 0.3))):
+        monkeypatch.setattr(module, "hermitian_eigenvalues", recording)
+    for s in (werner(0.2), werner(0.9), BellDiagonalState(0.1, -0.2, 0.3)):
+        calls.clear()
         classify_state(s, "ppt")
-        assert len(calls) == 2 * (k + 1)
+        # transposing qubit B swaps b and d in rho's blocks [[a, b], [b, a]]
+        # and [[c, d], [d, c]]
+        a, b, c, d = qsep.states.bell_blocks(s)
+        assert calls == [[[a, d], [d, a]], [[c, b], [b, c]]]
 
 
 @pytest.mark.parametrize("method", ["ppt", "ar-asymptotic", "ar-scan"])

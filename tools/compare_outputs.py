@@ -87,6 +87,10 @@ COMMANDS = (
         ["scan", "--range=-3:1:2000"],
         ["cond", "--xyz=1.2,0,0", "--q", "2"],
         ["classify", "--xyz=0.2,0.2,0.2", "--boundary-tol=-1"],
+        # the physicality edge: a phi+ weight of -9.75e-13 is accepted, one of
+        # -1.025e-12 exits 3
+        ["classify", "--xyz=1.0000000000039,0,0", "--method", "ppt"],
+        ["classify", "--xyz=1.0000000000041,0,0", "--method", "ppt"],
     ]
 )
 

@@ -50,9 +50,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from .entropy import bell_log_pairs, entropy_kernel
+from .records import Record
 from .states import BellDiagonalState, physical_weights
 from .separability import (AxisSpec, by_weight_multiset, grid_axes, grid_results,
                            log_grid, secant_root)
@@ -62,19 +62,18 @@ Q_MAX_DEFAULT = 200.0
 SEARCH_POINTS = 240
 
 
-@dataclass(frozen=True)
-class CriticalityReport:
+class CriticalityReport(Record):
     """Inflexion search outcome plus the diagnostics behind it.
 
     ``bracket`` is the grid interval whose sign change was refined (None if
     none was found), with the second-derivative values at its ends.
     """
 
-    q_inflexion: float | None
-    eta: float
-    bracket: tuple[float, float] | None
-    d2_at_bracket: tuple[float, float] | None
-    vertex: bool = False
+    __slots__ = __match_args__ = ("q_inflexion", "eta", "bracket", "d2_at_bracket", "vertex")
+
+    def __init__(self, q_inflexion: float | None, eta: float, bracket: tuple[float, float] | None,
+                 d2_at_bracket: tuple[float, float] | None, vertex: bool = False) -> None:
+        super().__init__(q_inflexion, eta, bracket, d2_at_bracket, vertex)
 
 
 def _check_q_max(q_max: float) -> None:

@@ -43,10 +43,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 from .linalg import Spectrum
+from .records import Record
 from .states import BellDiagonalState, physical_weights
 
 # Eigenvalues at or below this are treated as zero; power sums run over the
@@ -192,14 +192,14 @@ def conditional_entropy(joint: Spectrum, reduced: Spectrum, q: float) -> float:
     return -(math.inf if r > _EXP_MAX else math.expm1(r)) / (q - 1.0)
 
 
-@dataclass(frozen=True)
-class ConditionalEntropyValue:
+class ConditionalEntropyValue(Record):
     """A conditional-entropy sample; both directions agree for Bell-diagonal
     states because each reduced state is maximally mixed."""
 
-    value: float
-    q: float
-    direction: str = "B|A"
+    __slots__ = __match_args__ = ("value", "q", "direction")
+
+    def __init__(self, value: float, q: float, direction: str = "B|A") -> None:
+        super().__init__(value, q, direction)
 
 
 def rescaled_power_sum(weights: Sequence[float], q: float) -> float:

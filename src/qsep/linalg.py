@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import ConvergenceError
+from .records import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -46,8 +46,7 @@ STOCHASTIC_TOL = 1e-9
 _UNSCALED_MAX = 2.0 ** 1020
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Record):
     """Real eigenvalues stored in descending order.
 
     ``stochastic`` marks spectra that are probability weights: nonnegative
@@ -56,8 +55,11 @@ class Spectrum:
     partial transpose with a negative eigenvalue) simply carry it as False.
     """
 
-    values: tuple[float, ...]
-    stochastic: bool
+    __slots__ = __match_args__ = ("values", "stochastic")
+
+    def __init__(self, values: tuple[float, ...], stochastic: bool) -> None:
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "stochastic", stochastic)
 
     @classmethod
     def from_values(cls, values: Iterable[float], stochastic: bool | None = None) -> "Spectrum":

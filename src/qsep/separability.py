@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING
@@ -53,6 +52,7 @@ from typing import TYPE_CHECKING
 from .errors import BracketError
 from .entropy import bell_log_pairs, entropy_kernel, log_residual, rescaled_power_sum
 from .linalg import hermitian_eigenvalues, partial_transpose
+from .records import Record
 from .states import (
     BellDiagonalState,
     TwoQubitState,
@@ -75,36 +75,38 @@ NAMED_DIRECTIONS = {
 THRESHOLD_TOL_DEFAULT = 1e-12
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record):
     """verdict in {separable, entangled, boundary}; witness is the signed
     margin of the deciding criterion (boundary iff |witness| <= the tolerance
     used). For scan verdicts witness_q records where the witness was seen."""
 
-    verdict: str
-    criterion: str
-    witness: float
-    witness_q: float | None = None
+    __slots__ = __match_args__ = ("verdict", "criterion", "witness", "witness_q")
+
+    def __init__(self, verdict: str, criterion: str, witness: float,
+                 witness_q: float | None = None) -> None:
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "criterion", criterion)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "witness_q", witness_q)
 
 
-@dataclass(frozen=True)
-class GridCell:
-    x: float
-    y: float
-    z: float
-    physical: bool
-    classification: Classification | None
+class GridCell(Record):
+    __slots__ = __match_args__ = ("x", "y", "z", "physical", "classification")
+
+    def __init__(self, x: float, y: float, z: float, physical: bool,
+                 classification: Classification | None) -> None:
+        super().__init__(x, y, z, physical, classification)
 
 
-@dataclass(frozen=True)
-class RegionGrid:
+class RegionGrid(Record):
     """Cartesian sweep result: all cells in x-major order; classifications
     are present exactly for the physical cells."""
 
-    xs: tuple[float, ...]
-    ys: tuple[float, ...]
-    zs: tuple[float, ...]
-    cells: tuple[GridCell, ...]
+    __slots__ = __match_args__ = ("xs", "ys", "zs", "cells")
+
+    def __init__(self, xs: tuple[float, ...], ys: tuple[float, ...], zs: tuple[float, ...],
+                 cells: tuple[GridCell, ...]) -> None:
+        super().__init__(xs, ys, zs, cells)
 
 
 def secant_root(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float) -> float:

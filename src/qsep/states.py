@@ -26,11 +26,11 @@ physicality check of every public entry point that takes a state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import UnphysicalStateError
 from .linalg import Spectrum, hermitian_eigenvalues
+from .records import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,28 +49,31 @@ _BELL_KETS = (
 )
 
 
-@dataclass(frozen=True)
-class BellDiagonalState:
-    """Mixing parameters (x, y, z) of a Bell-diagonal state."""
+class BellDiagonalState(Record):
+    """Mixing parameters (x, y, z) of a Bell-diagonal state, each converted
+    by ``float`` and checked finite before the next is read."""
 
-    x: float
-    y: float
-    z: float
+    __slots__ = __match_args__ = ("x", "y", "z")
 
-    def __post_init__(self) -> None:
-        for name in ("x", "y", "z"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, v)
+    def __init__(self, x: float, y: float, z: float) -> None:
+        if not math.isfinite(x := float(x)):
+            raise ValueError("x must be finite")
+        if not math.isfinite(y := float(y)):
+            raise ValueError("y must be finite")
+        if not math.isfinite(z := float(z)):
+            raise ValueError("z must be finite")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
 
 
-@dataclass(frozen=True)
-class PhysicalityCheck:
+class PhysicalityCheck(Record):
     """Outcome of the weight-positivity test, with one entry per violation."""
 
-    ok: bool
-    violations: tuple[str, ...]
+    __slots__ = __match_args__ = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple[str, ...]) -> None:
+        super().__init__(ok, violations)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -138,22 +141,22 @@ def bell_projectors() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return tuple(mats)
 
 
-@dataclass(frozen=True, eq=False)
-class TwoQubitState:
+class TwoQubitState(Record):
     """A validated 4x4 density matrix.
 
     Construction checks Hermiticity (to ``linalg.HERMITICITY_TOL``), unit
     trace (to ``DENSITY_TOL``) and positive semidefiniteness (eigenvalues
     >= -DENSITY_TOL); the eigenvalue spectrum is kept on the instance.
+    States compare and hash by identity.
     """
 
-    matrix: np.ndarray
-    spectrum: Spectrum = field(init=False)
+    __slots__, __match_args__ = ("matrix", "spectrum"), ("matrix",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self) -> None:
+    def __init__(self, matrix: np.ndarray) -> None:
         import numpy as np
 
-        arr = np.asarray(self.matrix, dtype=np.complex128)
+        arr = np.asarray(matrix, dtype=np.complex128)
         if arr.shape != (4, 4):
             raise ValueError(f"density matrix must be 4x4, got shape {arr.shape}")
         spectrum = hermitian_eigenvalues(arr)

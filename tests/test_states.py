@@ -241,3 +241,44 @@ def test_state_parameters_coerced_and_finite():
         BellDiagonalState(math.nan, 0.0, 0.0)
     with pytest.raises(ValueError):
         BellDiagonalState(0.0, math.inf, 0.0)
+
+
+@pytest.mark.parametrize("xyz, error, message", [
+    ((math.nan, "abc", 0), ValueError, "x must be finite"),
+    (("abc", math.nan, 0), ValueError, "could not convert string to float: 'abc'"),
+    ((0, math.inf, "abc"), ValueError, "y must be finite"),
+    ((0.5, "1e400", None), ValueError, "y must be finite"),
+    ((0, 0, -math.inf), ValueError, "z must be finite"),
+    ((None, math.nan, 0), TypeError, "float() argument must be a string or a real number, not 'NoneType'"),
+    ((0, None, "abc"), TypeError, "float() argument must be a string or a real number, not 'NoneType'"),
+    ((0, 0, [1]), TypeError, "float() argument must be a string or a real number, not 'list'"),
+])
+def test_state_parameters_are_checked_one_at_a_time(xyz, error, message):
+    # x, y and z in turn: each is converted by float() and checked finite
+    # before the next is touched
+    with pytest.raises(error) as failure:
+        BellDiagonalState(*xyz)
+    assert type(failure.value) is error and str(failure.value) == message
+
+
+def test_state_parameters_convert_as_float_does():
+    s = BellDiagonalState("0.5", True, np.float32(0.25))
+    assert (s.x, s.y, s.z) == (0.5, 1.0, 0.25)
+    assert all(type(v) is float for v in (s.x, s.y, s.z))
+
+
+@pytest.mark.parametrize("matrix, error, message", [
+    (np.eye(3) / 3.0, ValueError, "density matrix must be 4x4, got shape (3, 3)"),
+    (None, ValueError, "density matrix must be 4x4, got shape ()"),
+    ([0.25] * 4, ValueError, "density matrix must be 4x4, got shape (4,)"),
+    (np.full((4, 4), math.nan), ValueError, "matrix contains non-finite entries"),
+    (np.eye(4) / 2.0, UnphysicalStateError, "density matrix trace is 2.0, expected 1"),
+    (np.diag([0.5, 0.5, 0.25, -0.25]), UnphysicalStateError,
+     "density matrix has negative eigenvalue -0.25"),
+    (np.eye(4) / 4.0 + np.triu(np.full((4, 4), 0.1), 1), ValueError,
+     "matrix is not Hermitian: max |m - m^H| = 1.000e-01 at entry (0, 1)"),
+], ids=["3x3", "none", "flat", "nan", "trace", "negative", "not-hermitian"])
+def test_two_qubit_state_messages(matrix, error, message):
+    with pytest.raises(error) as failure:
+        TwoQubitState(matrix)
+    assert type(failure.value) is error and str(failure.value) == message

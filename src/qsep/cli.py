@@ -32,7 +32,7 @@ import stat
 import sys
 from collections.abc import Iterable
 
-from .criticality import Q_MAX_DEFAULT, order_parameter
+from .criticality import Q_MAX_DEFAULT, inflexion_report, order_parameter
 from .entropy import bell_log_pairs, conditional_entropy_bell, entropy_kernel, tsallis_entropy
 from .errors import NumericalError
 from .linalg import Spectrum
@@ -40,12 +40,12 @@ from .separability import (
     CLASSIFIERS,
     NAMED_DIRECTIONS,
     THRESHOLD_TOL_DEFAULT,
-    ar_classify_asymptotic,
     boundary_tol_for,
     by_weight_multiset,
     classify_state,
     grid_axes,
     grid_results,
+    max_weight_verdict,
     threshold_x,
 )
 from .states import BellDiagonalState, bell_spectrum, bell_weights, checked_weights
@@ -375,10 +375,11 @@ def _figure_fig2() -> Iterable[str]:
 
 def _figure_fig3() -> Iterable[str]:
     spec = (-3.0, 1.0, 41)
+    band = boundary_tol_for("ar-asymptotic")
 
-    def evaluate(x, y, z):
-        s = BellDiagonalState(x, y, z)
-        return f"{ar_classify_asymptotic(s).verdict},{_csv_field(order_parameter(s).eta)}"
+    def evaluate(weights):
+        verdict = max_weight_verdict(weights, band)[0]
+        return f"{verdict},{_csv_field(inflexion_report(weights, Q_MAX_DEFAULT).eta)}"
 
     # a row depends on a cell only through its weight multiset (see criticality)
     return _grid_document(["x", "y", "z", "physical", "verdict", "eta"],

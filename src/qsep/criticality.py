@@ -42,8 +42,14 @@ four Bell weights, bit for bit: the physicality test takes their ``min``,
 ``entropy_kernel`` sums its terms with the correctly rounded
 ``math.fsum``, whose result does not depend on their order. Every state
 with the same sorted weights therefore gets the same bracket, the same S''
-values and the same secant path. ``eta_field`` uses this to run one search
-per distinct multiset of a grid, through ``separability.by_weight_multiset``.
+values and the same secant path.
+
+``order_parameter`` checks q_max and the state once each, then hands the
+weights to ``inflexion_report``, the report from checked weights: the
+vertex rule, then the search. ``eta_field`` and the CLI's ``figure fig3``
+call ``inflexion_report`` once per distinct multiset of a grid, on the
+sorted weights that ``separability.by_weight_multiset`` keys on, which are
+the floats whose physicality the grid enumeration has tested.
 """
 
 from __future__ import annotations
@@ -81,7 +87,13 @@ def _check_q_max(q_max: float) -> None:
         raise ValueError(f"q_max must be finite and above {Q_FLOOR}, got {q_max!r}")
 
 
-def _search(pairs, q_max: float) -> CriticalityReport:
+def inflexion_report(weights, q_max: float) -> CriticalityReport:
+    """``order_parameter``'s report from checked Bell weights, in any order,
+    and a q_max that ``order_parameter`` would accept: the vertex rule, then
+    the search. It reads the weights' multiset only."""
+    pairs = bell_log_pairs(weights)
+    if len(pairs) == 1:
+        return CriticalityReport(None, 1.0, None, None, vertex=True)
     grid = log_grid(Q_FLOOR, q_max, SEARCH_POINTS)
     d2 = {}
 
@@ -126,10 +138,7 @@ def order_parameter(s: BellDiagonalState, q_max: float = Q_MAX_DEFAULT) -> Criti
     get equal reports (see the module docstring).
     """
     _check_q_max(q_max)
-    pairs = bell_log_pairs(physical_weights(s))
-    if len(pairs) == 1:
-        return CriticalityReport(None, 1.0, None, None, vertex=True)
-    return _search(pairs, q_max)
+    return inflexion_report(physical_weights(s), q_max)
 
 
 def eta_field(x_spec: AxisSpec, y_spec: AxisSpec, z_spec: AxisSpec,
@@ -144,6 +153,6 @@ def eta_field(x_spec: AxisSpec, y_spec: AxisSpec, z_spec: AxisSpec,
     """
     _check_q_max(q_max)
     axes = grid_axes(x_spec, y_spec, z_spec)
-    eta = by_weight_multiset(lambda x, y, z: order_parameter(BellDiagonalState(x, y, z), q_max).eta)
+    eta = by_weight_multiset(lambda weights: inflexion_report(weights, q_max).eta)
     return tuple((x, y, z, e) for x, y, lo, hi, etas in grid_results(axes, eta)
                  for z, e in zip(axes[2][lo:hi], etas))

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from .linalg import Spectrum
 from .records import Record

@@ -23,14 +23,11 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable
 
 from .errors import ConvergenceError
 from .records import Record
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Largest |m - m^H| entry an eigensolve accepts, in units of the largest
 # entry of (m + m^H)/2 when that exceeds 1.

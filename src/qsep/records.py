@@ -2,8 +2,10 @@
 records.
 
 A record names its fields in ``__slots__`` and its constructor's positional
-fields, in order, in ``__match_args__``. ``Record`` gives it the behaviour of
-a ``dataclasses.dataclass(frozen=True)`` class: a ``repr`` of every field,
+fields, in order, in ``__match_args__``; a subclass that declares no slots
+of its own, by ``__slots__ = ()`` or by no ``__slots__`` at all, keeps
+them. ``Record`` gives it the behaviour of a
+``dataclasses.dataclass(frozen=True)`` class: a ``repr`` of every field,
 ``==`` and ``hash`` on the tuple of fields between records of the same class,
 AttributeError on assignment and deletion, and copies and pickles that go
 through the constructor. The package thus imports neither ``dataclasses``
@@ -14,15 +16,20 @@ nor the ``inspect`` module it loads.
 class Record:
     """Base of an immutable record whose fields are its ``__slots__``."""
 
-    __slots__ = ()
+    __slots__ = _field_names = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # the slots of the nearest class that declared some
+        cls._field_names = cls.__dict__.get("__slots__") or cls._field_names
 
     def __init__(self, *values) -> None:
         # for the records whose constructors only store their arguments
-        for name, value in zip(self.__slots__, values):
+        for name, value in zip(self._field_names, values):
             object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._field_names)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -31,7 +38,7 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._field_names)
         return f"{type(self).__qualname__}({fields})"
 
     def __eq__(self, other):

@@ -20,19 +20,22 @@ Three routes, deliberately independent of each other:
   binary-search where the minimum is first reached. The scan can only
   confirm an asymptotic "entangled" verdict, never override it.
 
-Each input rule has one owner. ``CLASSIFIERS`` maps each method of
-``classify_state`` to its classifier of a Bell-diagonal state and to its
-default verdict band, and ``boundary_tol_for`` is the one place that picks
-a default band or rejects one: each classifier takes ``boundary_tol=None``
-and resolves it there, once per call, as ``classify_state`` passes the band
-through unresolved. The max-weight test
-(max w - 1/2, in the ar-asymptotic band) is written once, for
-``ar_classify_asymptotic``, ``ar_classify_scan``'s cross-check and the test
-at the end of a ``threshold_x`` ray. Each entry point that takes a
-Bell-diagonal state checks it once, through ``states.physical_weights``.
-``threshold_x`` finds where a parameter ray leaves the region with
-nonnegative conditional entropy at fixed q, and ``region_scan`` sweeps a
-Cartesian grid with a chosen classifier. ``secant_root`` is the one root
+Each input rule has one owner, and each public call checks its input once.
+``CLASSIFIERS`` maps each method of ``classify_state`` to its core, a
+function of checked Bell weights and a resolved band, and to its default
+verdict band. ``classify_state`` is the one entry check: it resolves the
+band with ``boundary_tol_for``, the one place that picks a default band or
+rejects one, then checks the state with ``states.physical_weights`` and
+hands the weights to the core. ``ar_classify_asymptotic``, and
+``ar_classify_scan`` on the default grid, are ``classify_state`` calls; on
+a custom grid the scan makes the same two checks, then checks and sorts
+the grid. The max-weight test (``max_weight_verdict``: max w - 1/2, in a
+given band) is written once, for the asymptotic core, the scan's
+cross-check in the ar-asymptotic band, the test at the end of a
+``threshold_x`` ray and the CLI's fig3 verdicts. ``threshold_x`` finds
+where a parameter ray leaves the region with nonnegative conditional
+entropy at fixed q, and ``region_scan`` sweeps a Cartesian grid with a
+chosen classifier. ``secant_root`` is the one root
 finder, used by ``threshold_x`` and by the inflexion search of
 ``criticality``; ``grid_axes`` makes the points of every grid, capped at
 MAX_GRID_CELLS cells. ``physical_runs``, the one grid enumeration, gives
@@ -47,7 +50,6 @@ import math
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import product
-from typing import TYPE_CHECKING
 
 from .errors import BracketError
 from .entropy import bell_log_pairs, entropy_kernel, log_residual, rescaled_power_sum
@@ -61,9 +63,6 @@ from .states import (
     physical_weights,
     xyz_weights,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 BOUNDARY_TOL_ANALYTIC = 1e-9
 BOUNDARY_TOL_SCAN = 1e-7
@@ -153,19 +152,14 @@ def secant_root(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float) -
     return 0.5 * (lo + hi)
 
 
-def _method_entry(method: str):
-    if method not in CLASSIFIERS:
-        raise ValueError(f"unknown classification method {method!r}")
-    return CLASSIFIERS[method]
-
-
 def boundary_tol_for(method: str, boundary_tol: float | None = None) -> float:
     """The band ``method`` applies: its default band in CLASSIFIERS when
     boundary_tol is None. ValueError for an unknown method or a band that is
-    not finite and nonnegative. Every classifier resolves its band here."""
-    default = _method_entry(method)[1]
+    not finite and nonnegative. Every classification resolves its band here."""
+    if method not in CLASSIFIERS:
+        raise ValueError(f"unknown classification method {method!r}")
     if boundary_tol is None:
-        return default
+        return CLASSIFIERS[method][1]
     if not (math.isfinite(boundary_tol) and boundary_tol >= 0.0):
         raise ValueError(f"boundary_tol must be finite and nonnegative, got {boundary_tol!r}")
     return boundary_tol
@@ -180,8 +174,10 @@ def _banded_verdict(witness: float, boundary_tol: float) -> str:
     return "boundary"
 
 
-def _max_weight_verdict(weights, boundary_tol: float) -> tuple[str, float]:
-    # the paper's large-q rule: entangled iff some Bell weight exceeds 1/2
+def max_weight_verdict(weights, boundary_tol: float) -> tuple[str, float]:
+    """(verdict, max w - 1/2) of checked weights in the band boundary_tol:
+    the paper's large-q rule, entangled iff some Bell weight exceeds 1/2.
+    It reads the weights' multiset only."""
     margin = max(weights) - 0.5
     return _banded_verdict(margin, boundary_tol), margin
 
@@ -200,13 +196,12 @@ def ppt_classify(state: TwoQubitState | np.ndarray,
     return _ppt_verdict(hermitian_eigenvalues(partial_transposed).values[-1], tol)
 
 
-def _ppt_classify_bell(s: BellDiagonalState, boundary_tol=None) -> Classification:
-    # CLASSIFIERS' ppt entry: ppt_classify(bell_diagonal_density(s)), bit for
-    # bit, with bell_blocks' weight check as the only physicality check.
-    # Transposing qubit B swaps b and d: the partial transpose is the direct
-    # sum of [[a, d], [d, a]] and [[c, b], [b, c]], each solved on its own.
-    tol = boundary_tol_for("ppt", boundary_tol)
-    a, b, c, d = bell_blocks(s)
+def _ppt_core(weights, tol: float) -> Classification:
+    # CLASSIFIERS' ppt core: ppt_classify(bell_diagonal_density(s)), bit for
+    # bit, on the weights of s in canonical order. Transposing qubit B swaps
+    # b and d: the partial transpose is the direct sum of [[a, d], [d, a]]
+    # and [[c, b], [b, c]], each solved on its own.
+    a, b, c, d = bell_blocks(weights)
     return _ppt_verdict(min(hermitian_eigenvalues([[a, d], [d, a]]).values[-1],
                             hermitian_eigenvalues([[c, b], [b, c]]).values[-1]), tol)
 
@@ -227,8 +222,11 @@ def ar_residual(s: BellDiagonalState, q: float) -> float:
 def ar_classify_asymptotic(s: BellDiagonalState,
                            boundary_tol: float | None = None) -> Classification:
     """Large-q limit of the entropic criterion: max Bell weight versus 1/2."""
-    tol = boundary_tol_for("ar-asymptotic", boundary_tol)
-    verdict, margin = _max_weight_verdict(physical_weights(s), tol)
+    return classify_state(s, "ar-asymptotic", boundary_tol)
+
+
+def _asymptotic_core(weights, tol: float) -> Classification:
+    verdict, margin = max_weight_verdict(weights, tol)
     return Classification(verdict, "ar-asymptotic", margin)
 
 
@@ -286,16 +284,20 @@ def ar_classify_scan(s: BellDiagonalState,
     ar-asymptotic band: an entangled or boundary verdict of it wins
     (reported under its own criterion).
     """
+    if q_grid is None:
+        return classify_state(s, "ar-scan", boundary_tol)
     tol = boundary_tol_for("ar-scan", boundary_tol)
     weights = physical_weights(s)
-    if q_grid is None:
-        grid = _DEFAULT_Q_GRID
-    else:
-        grid = sorted(q_grid)
-        if not grid:
-            raise ValueError("q_grid must contain at least one sample")
-        if not all(math.isfinite(q) for q in grid):
-            raise ValueError("q_grid samples must be finite")
+    grid = sorted(q_grid)
+    if not grid:
+        raise ValueError("q_grid must contain at least one sample")
+    if not all(math.isfinite(q) for q in grid):
+        raise ValueError("q_grid samples must be finite")
+    return _scan_core(weights, tol, grid)
+
+
+def _scan_core(weights, tol: float, grid=_DEFAULT_Q_GRID) -> Classification:
+    # ar_classify_scan on checked weights and a sorted grid of finite samples
     pairs = bell_log_pairs(weights)
     min_value = entropy_kernel(pairs, grid[-1])
     if min_value == math.inf:
@@ -309,7 +311,7 @@ def ar_classify_scan(s: BellDiagonalState,
         min_q = grid[-1]
     if min_value < -tol:
         return Classification("entangled", "ar-scan", min_value, min_q)
-    verdict, margin = _max_weight_verdict(weights, boundary_tol_for("ar-asymptotic"))
+    verdict, margin = max_weight_verdict(weights, boundary_tol_for("ar-asymptotic"))
     if verdict != "separable":
         return Classification(verdict, "ar-asymptotic", margin)
     return Classification("separable", "ar-scan", min_value, min_q)
@@ -373,7 +375,7 @@ def threshold_x(q: float, direction="diag", tol: float = THRESHOLD_TOL_DEFAULT) 
         # separable in the ar-asymptotic band, it sits on the critical
         # surface, and the threshold is the physical boundary.
         edge = xyz_weights(t_max * d[0], t_max * d[1], t_max * d[2])
-        if _max_weight_verdict(edge, boundary_tol_for("ar-asymptotic"))[0] != "separable":
+        if max_weight_verdict(edge, boundary_tol_for("ar-asymptotic"))[0] != "separable":
             return t_max
         raise BracketError("ray never crosses the q-threshold surface")
     return secant_root(residual, 0.0, t_max, start, end, tol)
@@ -458,36 +460,42 @@ def grid_results(axes, evaluate):
 
 
 def by_weight_multiset(evaluate):
-    """Wrap ``evaluate(x, y, z)`` to run once per Bell-weight multiset (the
-    sorted ``xyz_weights``; a None result is not kept), handing later cells
-    the first cell's result object. The caller must know evaluate depends on
-    a cell only through that multiset, bit for bit; ``ppt`` does not."""
+    """Wrap ``evaluate(weights)`` into a function of a cell (x, y, z) that
+    runs it once per Bell-weight multiset, on the sorted ``xyz_weights`` it
+    keys on (a None result is not kept), handing later cells the first
+    cell's result object. The caller must know evaluate depends on the
+    weights only through their multiset, bit for bit; ``ppt`` does not. On
+    the cells ``grid_results`` evaluates, the weights are the floats that
+    ``physical_runs`` tested."""
     results = {}
 
     def memo(x, y, z):
-        key = tuple(sorted(xyz_weights(x, y, z)))
-        result = results.get(key)
+        weights = tuple(sorted(xyz_weights(x, y, z)))
+        result = results.get(weights)
         if result is None:
-            result = results[key] = evaluate(x, y, z)
+            result = results[weights] = evaluate(weights)
         return result
 
     return memo
 
 
-# Each method: its classifier of a Bell-diagonal state, and its default band.
+# Each method: its core, core(weights, tol) on the checked Bell weights of a
+# state in canonical order and the resolved band, and its default band.
 CLASSIFIERS = {
-    "ppt": (_ppt_classify_bell, BOUNDARY_TOL_ANALYTIC),
-    "ar-asymptotic": (ar_classify_asymptotic, BOUNDARY_TOL_ANALYTIC),
-    "ar-scan": (ar_classify_scan, BOUNDARY_TOL_SCAN),
+    "ppt": (_ppt_core, BOUNDARY_TOL_ANALYTIC),
+    "ar-asymptotic": (_asymptotic_core, BOUNDARY_TOL_ANALYTIC),
+    "ar-scan": (_scan_core, BOUNDARY_TOL_SCAN),
 }
 
 
 def classify_state(s: BellDiagonalState, method: str,
                    boundary_tol: float | None = None) -> Classification:
-    """Dispatch a physical Bell-diagonal state to ``method``'s classifier in
-    CLASSIFIERS, which applies the band ``boundary_tol_for(method,
-    boundary_tol)`` resolves. ValueError for an unknown method."""
-    return _method_entry(method)[0](s, boundary_tol=boundary_tol)
+    """Classify a physical Bell-diagonal state by ``method``: the band
+    ``boundary_tol_for(method, boundary_tol)`` resolves (ValueError for an
+    unknown method or a bad band, before the state is read), the one
+    ``physical_weights`` check, then the method's core in CLASSIFIERS."""
+    tol = boundary_tol_for(method, boundary_tol)
+    return CLASSIFIERS[method][0](physical_weights(s), tol)
 
 
 def region_scan(x_spec: AxisSpec, y_spec: AxisSpec, z_spec: AxisSpec,

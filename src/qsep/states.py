@@ -26,14 +26,10 @@ physicality check of every public entry point that takes a state.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .errors import UnphysicalStateError
 from .linalg import Spectrum, hermitian_eigenvalues
 from .records import Record
-
-if TYPE_CHECKING:
-    import numpy as np
 
 WEIGHT_TOL = 1e-12
 # A density matrix's trace may miss 1, and its eigenvalues 0 from below, by this.
@@ -174,13 +170,14 @@ class TwoQubitState(Record):
         return cls(matrix=m)
 
 
-def bell_blocks(s: BellDiagonalState) -> tuple[float, float, float, float]:
-    """(a, b, c, d) of a physical Bell-diagonal state's density matrix
-    sum_k w_k P_k: its phi block [[a, b], [b, a]] on (up-up, down-down) and
-    its psi block [[c, d], [d, c]] on (up-down, down-up). Each adds its two
-    nonzero terms w_k * h in projector order, so it is that sum bit for bit."""
+def bell_blocks(weights) -> tuple[float, float, float, float]:
+    """(a, b, c, d) of the density matrix sum_k w_k P_k of checked Bell
+    weights in canonical order: its phi block [[a, b], [b, a]] on (up-up,
+    down-down) and its psi block [[c, d], [d, c]] on (up-down, down-up).
+    Each adds its two nonzero terms w_k * h in projector order, so it is
+    that sum bit for bit."""
     h = _SQRT_HALF * _SQRT_HALF  # each projector entry's magnitude, as rounded
-    phi_p, phi_m, psi_p, psi_m = (w * h for w in physical_weights(s))
+    phi_p, phi_m, psi_p, psi_m = (w * h for w in weights)
     return phi_p + phi_m, phi_p - phi_m, psi_p + psi_m, psi_p - psi_m
 
 
@@ -189,7 +186,7 @@ def bell_diagonal_density(s: BellDiagonalState) -> TwoQubitState:
     written from its ``bell_blocks``, as a TwoQubitState."""
     import numpy as np
 
-    a, b, c, d = bell_blocks(s)
+    a, b, c, d = bell_blocks(physical_weights(s))
     rows = [[a, 0.0, 0.0, b], [0.0, c, d, 0.0], [0.0, d, c, 0.0], [b, 0.0, 0.0, a]]
     return TwoQubitState(matrix=np.array(rows, dtype=np.complex128))
 

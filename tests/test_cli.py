@@ -176,9 +176,10 @@ def test_classify_echoes_the_band_the_classifier_applies(capsys, monkeypatch, me
     applied = []
 
     def recording(*args, **kwargs):
+        # the core's band parameter: core(weights, tol)
         bound = inspect.signature(original).bind(*args, **kwargs)
         bound.apply_defaults()
-        applied.append(bound.arguments["boundary_tol"])
+        applied.append(bound.arguments["tol"])
         return original(*args, **kwargs)
 
     monkeypatch.setitem(qsep.separability.CLASSIFIERS, method, (recording, band))
@@ -408,11 +409,12 @@ NUMPY_FREE_COMMANDS = [
     ["scan", "--range=-1:1:5", "--method", "ppt"],
 ]
 # Besides numpy, neither dataclasses nor the inspect module it imports is
-# loaded: each would add to every command's start-up time.
+# loaded, nor typing: each would add to every command's start-up time. The
+# probe reports which of the modules named in its second argument are loaded.
 STARTUP_PROBE = """
 import contextlib, io, json, sys
 def loaded_now():
-    return [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
+    return [m for m in json.loads(sys.argv[2]) if m in sys.modules]
 import qsep
 loaded = [loaded_now()]
 import qsep.cli
@@ -434,7 +436,8 @@ PPT_CLASSIFY = (
 
 def test_no_command_loads_numpy():
     commands = NUMPY_FREE_COMMANDS + [["classify", "--xyz", "0.7,0.5,0.4", "--method", "ppt"]]
-    result = subprocess.run([sys.executable, "-c", STARTUP_PROBE, json.dumps(commands)],
+    result = subprocess.run([sys.executable, "-c", STARTUP_PROBE, json.dumps(commands),
+                             json.dumps(["numpy", "dataclasses", "inspect"])],
                             capture_output=True, text=True, env=package_env(), timeout=120,
                             check=True)
     loaded, ppt_output = json.loads(result.stdout)
@@ -442,6 +445,17 @@ def test_no_command_loads_numpy():
     assert loaded[2:-1] == [[0, []]] * len(NUMPY_FREE_COMMANDS)
     assert loaded[-1] == [0, []]
     assert ppt_output == PPT_CLASSIFY
+
+
+def test_no_command_loads_typing():
+    # under -S: where site is imported, it may load typing itself
+    commands = NUMPY_FREE_COMMANDS + [["classify", "--xyz", "0.7,0.5,0.4", "--method", "ppt"]]
+    result = subprocess.run([sys.executable, "-S", "-c", STARTUP_PROBE, json.dumps(commands),
+                             json.dumps(["typing"])],
+                            capture_output=True, text=True, env=package_env(), timeout=120,
+                            check=True)
+    loaded, _ = json.loads(result.stdout)
+    assert loaded == [[], []] + [[0, []]] * len(commands)
 
 
 @pytest.mark.parametrize("signum, expected", [(signal.SIGTERM, 143), (signal.SIGHUP, 129)],
@@ -663,17 +677,29 @@ def test_figure_fig3_rows_equal_a_fresh_evaluation_of_each_cell(capsys):
 
 def test_grid_commands_evaluate_once_per_multiset_or_once_per_cell(capsys, monkeypatch):
     # fig3 searches and renders each of the 2,240 weight multisets of its
-    # 12,341 physical cells once; a ppt scan classifies every physical cell,
-    # those that repeat a multiset included
+    # 12,341 physical cells once, on the weights physical_runs tested: no
+    # state, no Classification, no second physicality check. A ppt scan
+    # classifies every physical cell, those that repeat a multiset included.
     calls = {}
-    for name in ("ar_classify_asymptotic", "order_parameter", "classify_state"):
-        def counted(*args, _name=name, _original=getattr(qsep.cli, name), **kwargs):
-            calls[_name] = calls.get(_name, 0) + 1
+
+    def count(patch, owner, name, key=None):
+        def counted(*args, _key=key or name, _original=getattr(owner, name), **kwargs):
+            calls[_key] = calls.get(_key, 0) + 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(qsep.cli, name, counted)
-    assert run_cli(capsys, "figure", "fig3")[0] == 0
-    assert calls == {"ar_classify_asymptotic": 2_240, "order_parameter": 2_240}
+        patch.setattr(owner, name, counted)
+
+    for name in ("max_weight_verdict", "inflexion_report", "order_parameter", "classify_state"):
+        count(monkeypatch, qsep.cli, name)
+    original = qsep.states.physical_weights
+    with monkeypatch.context() as patch:
+        for record in (BellDiagonalState, qsep.separability.Classification):
+            count(patch, record, "__init__", record.__name__)
+        for module in [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "qsep"
+                       and getattr(m, "physical_weights", None) is original]:
+            count(patch, module, "physical_weights")
+        assert run_cli(capsys, "figure", "fig3")[0] == 0
+    assert calls == {"max_weight_verdict": 2_240, "inflexion_report": 2_240}
 
     calls.clear()
     assert run_cli(capsys, "scan", "--range=-1:1:3", "--method", "ppt")[0] == 0

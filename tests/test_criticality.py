@@ -21,6 +21,7 @@ from qsep.criticality import (
     Q_MAX_DEFAULT,
     SEARCH_POINTS,
     CriticalityReport,
+    inflexion_report,
 )
 from qsep.entropy import bell_log_pairs, entropy_kernel
 from qsep.separability import grid_points, log_grid
@@ -357,6 +358,9 @@ def test_report_depends_only_on_the_weight_multiset(s, q_max):
     # state's gets an equal report, bit for bit.
     weights = sorted(bell_weights(s))
     report = order_parameter(s, q_max=q_max)
+    # the weights-level report that eta_field and fig3 read, on the sorted
+    # weights by_weight_multiset keys on
+    assert inflexion_report(weights, q_max) == report
     for xyz in itertools.permutations((s.x, s.y, s.z)):
         image = BellDiagonalState(*xyz)
         if sorted(bell_weights(image)) == weights:

@@ -107,10 +107,19 @@ def test_a_record_behaves_as_its_frozen_dataclass_twin(record, data):
         assert (r == record(*other)) == (t == twin(*other))
         assert hash(r) == hash(t) == hash(record(*args))
     assert r != args and (r == args) == (t == args) is False
-    # another class never compares equal, a subclass or the twin itself
+    # another class never compares equal, a subclass or the twin itself. A
+    # subclass keeps its base's fields, with no __slots__ or an empty one.
     sub, twin_sub = (type(record.__name__, (cls,), {}) for cls in (record, twin))
     assert (r == sub(*args)) == (t == twin_sub(*args)) is False
     assert r != t
+    slotted = type(record.__name__, (record,), {"__slots__": ()})
+    for made in (sub, slotted):
+        s, s_other, t_sub = made(*args), made(*other), twin_sub(*args)
+        assert repr(s) == repr(t_sub)
+        if record is not TwoQubitState:
+            assert (s == made(*args)) == (t_sub == twin_sub(*args)) is True
+            assert (s == s_other) == (t_sub == twin_sub(*other))
+            assert hash(s) == hash(t_sub) == hash(r)
     for name in [*record.__slots__, "extra"]:
         assert _error(lambda: setattr(r, name, 0)) == _error(lambda: setattr(t, name, 0))
         assert _error(lambda: delattr(r, name)) == _error(lambda: delattr(t, name))

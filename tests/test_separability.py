@@ -133,7 +133,7 @@ def test_ppt_on_a_bell_state_makes_two_eigensolves(monkeypatch):
         classify_state(s, "ppt")
         # transposing qubit B swaps b and d in rho's blocks [[a, b], [b, a]]
         # and [[c, d], [d, c]]
-        a, b, c, d = qsep.states.bell_blocks(s)
+        a, b, c, d = qsep.states.bell_blocks(bell_weights(s))
         assert calls == [[[a, d], [d, a]], [[c, b], [b, c]]]
 
 

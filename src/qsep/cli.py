@@ -9,12 +9,13 @@ figure commands emit plain CSV (comma separated, single header row, LF line
 endings). Grid rows are written one x plane at a time as they are computed.
 
 Exit codes: 0 success, 1 output I/O error, 2 usage error, 3 domain error
-(unphysical state or invalid weights), 4 numerical failure (no bracket,
-eigensolver breakdown). ``--out`` is written only on success: the output
-goes to a temporary file beside the target, which replaces the target at the
-end and is removed when the run fails or gets SIGTERM (exit 143) or SIGHUP
-(exit 129); a signal the run was started ignoring, as ``nohup`` ignores
-SIGHUP, stays ignored. SIGKILL cannot be caught, so a run killed by it
+(unphysical state or invalid weights), 4 numerical failure (a search with
+no bracket; the only matrices a command solves are 2x2 blocks, which the
+eigensolver diagonalises in closed form, so none can break it down).
+``--out`` is written only on success: the output goes to a temporary file
+beside the target, which replaces the target at the end and is removed when
+the run fails or gets SIGTERM (exit 143) or SIGHUP (exit 129); a signal the
+run was started ignoring, as ``nohup`` ignores SIGHUP, stays ignored. SIGKILL cannot be caught, so a run killed by it
 leaves the temporary file ``.<name>.<pid>.tmp`` behind.
 
 Neither importing this module nor running any command loads numpy:

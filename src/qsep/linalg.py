@@ -8,15 +8,18 @@ nested list in pure Python; numpy is imported by the functions that take
 an array or return a matrix, not with this module, so the package's
 scalar paths and its Bell-diagonal ``ppt`` route start without it. Composite
 operators on two qubits use the row index convention 2*i_A + i_B, so the
-first tensor factor is the slow index. Eigenvalues come from a cyclic Jacobi
+first tensor factor is the slow index. Eigenvalues come from a Jacobi
 solver so the package does not depend on LAPACK behaviour for its core
-results; tests cross-check it against an independent solver. The solver, its
-Hermiticity check and the symmetrisation run on the matrix as nested lists of
-Python numbers: floats when every entry of the rows given is a float (real
-symmetric rows, such as the 2x2 blocks of the partial transpose that the
-Bell-diagonal ``ppt`` route solves, stay real), complex numbers otherwise.
-For a 4x4 matrix that is several times faster than indexing numpy scalars,
-and it is still free of LAPACK.
+results; tests cross-check it against an independent solver. A 2x2 matrix
+takes one rotation in closed form, with no sweep and no convergence test; a
+4x4 matrix is swept cyclically. The solver, its Hermiticity check and the
+symmetrisation run on the matrix as nested lists of Python numbers: floats
+when every entry of the rows given is a float (real symmetric rows, such as
+the 2x2 blocks of the partial transpose that the Bell-diagonal ``ppt`` route
+solves, stay real), complex numbers otherwise. For a 4x4 matrix that is
+several times faster than indexing numpy scalars, and it is still free of
+LAPACK. ``hermitian_eigenvalues`` builds its ``Spectrum`` in the one pass
+that ``Spectrum.from_values`` also takes.
 """
 
 from __future__ import annotations
@@ -32,8 +35,10 @@ from .records import Record
 # Largest |m - m^H| entry an eigensolve accepts, in units of the largest
 # entry of (m + m^H)/2 when that exceeds 1.
 HERMITICITY_TOL = 1e-10
-# Jacobi convergence: largest off-diagonal magnitude after a full sweep.
+# Jacobi convergence: largest off-diagonal magnitude after a full sweep of a
+# 4x4 matrix; a 2x2 off-diagonal entry below it is not rotated.
 OFFDIAG_TOL = 1e-13
+# Sweeps a 4x4 matrix may take; a 2x2 matrix never sweeps.
 MAX_SWEEPS = 100
 STOCHASTIC_TOL = 1e-9
 # Matrices whose entries' magnitudes sum to this or more are solved scaled
@@ -60,23 +65,7 @@ class Spectrum(Record):
 
     @classmethod
     def from_values(cls, values: Iterable[float], stochastic: bool | None = None) -> "Spectrum":
-        vals = tuple(sorted(map(float, values), reverse=True))
-        if not vals:
-            raise ValueError("spectrum needs at least one eigenvalue")
-        if not all(map(math.isfinite, vals)):
-            raise ValueError("spectrum values must be finite")
-        try:
-            total = math.fsum(vals)
-        except OverflowError:  # finite values whose sum does not fit a float
-            total = math.inf
-        looks_stochastic = abs(total - 1.0) <= STOCHASTIC_TOL and vals[-1] >= -STOCHASTIC_TOL
-        if stochastic is None:
-            stochastic = looks_stochastic
-        elif stochastic and not looks_stochastic:
-            raise ValueError(
-                f"values are not a probability spectrum: sum = {total!r}, min = {vals[-1]!r}"
-            )
-        return cls(vals, bool(stochastic))
+        return _spectrum(list(map(float, values)), stochastic)
 
     @classmethod
     def uniform(cls, dim: int) -> "Spectrum":
@@ -87,6 +76,28 @@ class Spectrum(Record):
     @property
     def dim(self) -> int:
         return len(self.values)
+
+
+def _spectrum(vals: list[float], stochastic: bool | None = None) -> Spectrum:
+    """The Spectrum of a list of floats, sorted in place: the one pass that
+    checks them finite, sums them once and flags a probability spectrum."""
+    if not vals:
+        raise ValueError("spectrum needs at least one eigenvalue")
+    vals.sort(reverse=True)
+    if not all(map(math.isfinite, vals)):
+        raise ValueError("spectrum values must be finite")
+    try:
+        total = math.fsum(vals)
+    except OverflowError:  # finite values whose sum does not fit a float
+        total = math.inf
+    looks_stochastic = abs(total - 1.0) <= STOCHASTIC_TOL and vals[-1] >= -STOCHASTIC_TOL
+    if stochastic is None:
+        stochastic = looks_stochastic
+    elif stochastic and not looks_stochastic:
+        raise ValueError(
+            f"values are not a probability spectrum: sum = {total!r}, min = {vals[-1]!r}"
+        )
+    return Spectrum(tuple(vals), bool(stochastic))
 
 
 def _as_operator(m: np.ndarray, dims: tuple[int, ...], name: str = "matrix") -> np.ndarray:
@@ -140,33 +151,43 @@ def partial_transpose(m: np.ndarray, on: str) -> np.ndarray:
 # Entries (i, j) with i <= j, row-major: the Hermiticity pass's order.
 _UPPER = {n: tuple((i, j) for i in range(n) for j in range(i, n)) for n in (2, 4)}
 
-# Rotation order of one cyclic sweep: each pair (p, q) with p < q, row-major,
-# and the indices the rotation mixes into it.
-_SWEEP_ORDER = {
-    n: tuple((p, q, tuple(i for i in range(n) if i not in (p, q)))
-             for p in range(n - 1) for q in range(p + 1, n))
-    for n in (2, 4)
-}
+# Rotation order of one cyclic sweep of a 4x4 matrix: each pair (p, q) with
+# p < q, row-major, and the indices the rotation mixes into it.
+_SWEEP_ORDER = tuple((p, q, tuple(i for i in range(4) if i not in (p, q)))
+                     for p in range(3) for q in range(p + 1, 4))
 
 
 def _jacobi_eigenvalues(a: list[list[complex]]) -> list[float]:
-    """Cyclic Jacobi diagonalisation of a Hermitian matrix, given as rows.
+    """Jacobi diagonalisation of a Hermitian 2x2 or 4x4 matrix, given as rows.
 
     Each step applies an exact 2x2 unitary rotation (a real Givens rotation
     composed with a phase) that annihilates one off-diagonal pair; on real
-    symmetric rows the phase is a float and the rows stay real. Sweeps
-    repeat until the largest off-diagonal magnitude drops below OFFDIAG_TOL;
-    more than MAX_SWEEPS sweeps raises ConvergenceError. The rows are
-    updated in place.
+    symmetric rows the phase is a float and the rows stay real. A 2x2
+    matrix takes one rotation, in closed form (Golub & Van Loan's 2-by-2
+    symmetric Schur decomposition), or none when its off-diagonal magnitude
+    is below OFFDIAG_TOL: it never sweeps and cannot fail. A 4x4 matrix is
+    swept cyclically until the largest off-diagonal magnitude drops below
+    OFFDIAG_TOL; more than MAX_SWEEPS sweeps raises ConvergenceError. The
+    rows are updated in place.
     """
-    n = len(a)
-    sweep = _SWEEP_ORDER[n]
+    if len(a) == 2:
+        # the sweep's rotation, with the same roundings, leaves it diagonal
+        (app, apq), (_, aqq) = a
+        mag = abs(apq)
+        app, aqq = app.real, aqq.real
+        if mag < OFFDIAG_TOL:
+            return [app, aqq]
+        tau = (aqq - app) / (2.0 * mag)
+        t = 1.0 / (abs(tau) + math.hypot(1.0, tau))
+        if tau < 0.0:
+            t = -t
+        return [app - t * mag, aqq + t * mag]
     hypot, sqrt = math.hypot, math.sqrt
     for _ in range(MAX_SWEEPS):
-        off = max([abs(a[p][q]) for p, q, _ in sweep])
+        off = max([abs(a[p][q]) for p, q, _ in _SWEEP_ORDER])
         if off < OFFDIAG_TOL:
-            return [a[i][i].real for i in range(n)]
-        for p, q, others in sweep:
+            return [a[i][i].real for i in range(4)]
+        for p, q, others in _SWEEP_ORDER:
             ap, aq = a[p], a[q]
             apq = ap[q]
             mag = abs(apq)
@@ -266,4 +287,4 @@ def hermitian_eigenvalues(m: list[list[complex]] | np.ndarray) -> Spectrum:
     values = _jacobi_eigenvalues(rows)
     if scale != 1.0:
         values = [v * scale for v in values]
-    return Spectrum.from_values(values)
+    return _spectrum(values)

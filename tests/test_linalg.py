@@ -2,6 +2,7 @@
 
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from qsep import (
     trace_power,
     werner,
 )
-from qsep.cli import main
 from qsep.states import BellDiagonalState, bell_weights
 
 
@@ -110,15 +110,14 @@ def test_jacobi_matches_reference_solver(rng):
             assert got == pytest.approx(expected, abs=1e-12)
 
 
-def test_jacobi_raises_when_the_sweeps_run_out(monkeypatch, capsys):
+def test_jacobi_raises_when_the_sweeps_run_out(monkeypatch):
+    # only a 4x4 matrix sweeps: a 2x2 one is solved in closed form
     monkeypatch.setattr(qsep.linalg, "MAX_SWEEPS", 0)
-    m = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
+    m = [[0.4, 0.1j, 0.0, 0.05], [-0.1j, 0.3, 0.0, 0.0], [0.0, 0.0, 0.2, 0.05],
+         [0.05, 0.0, 0.05, 0.1]]
     with pytest.raises(ConvergenceError, match="0 sweeps"):
         hermitian_eigenvalues(m)
-    # the CLI reports an eigensolver breakdown as a numerical failure
-    assert main(["classify", "--method", "ppt", "--xyz", "0.3,-0.2,0.1"]) == 4
-    out, err = capsys.readouterr()
-    assert out == "" and "did not converge" in err
+    assert hermitian_eigenvalues([[0.5, 0.25], [0.25, 0.5]]).values == (0.75, 0.25)
 
 
 def test_hermitian_eigenvalues_rejects_asymmetry():
@@ -164,10 +163,11 @@ def test_hermiticity_bound_is_relative_to_entries_above_one(as_array, rng):
 
 
 @st.composite
-def hermitian_rows(draw):
-    """A Hermitian 2x2 or 4x4 matrix as nested lists, entries drawn as
-    floats and complex numbers, the lower triangle off by up to 1e-12."""
-    n = draw(st.sampled_from((2, 4)))
+def hermitian_rows(draw, dims=(2, 4)):
+    """A Hermitian matrix of a dimension in dims as nested lists, entries
+    drawn as floats and complex numbers, the lower triangle off by up to
+    1e-12."""
+    n = draw(st.sampled_from(dims))
     entry = st.floats(-10.0, 10.0)
     rows = [[0.0] * n for _ in range(n)]
     for i in range(n):
@@ -179,11 +179,11 @@ def hermitian_rows(draw):
 
 
 @st.composite
-def real_rows(draw):
-    """A real symmetric 2x2 or 4x4 matrix as nested lists of Python floats,
-    signed zeros and subnormals among the entries, each mirror entry equal
-    or off by up to 1e-12."""
-    n = draw(st.sampled_from((2, 4)))
+def real_rows(draw, dims=(2, 4)):
+    """A real symmetric matrix of a dimension in dims as nested lists of
+    Python floats, signed zeros and subnormals among the entries, each
+    mirror entry equal or off by up to 1e-12."""
+    n = draw(st.sampled_from(dims))
     entry = st.one_of(st.floats(-10.0, 10.0), st.sampled_from((0.0, -0.0, 5e-324, -2.5e-320)))
     rows = [[0.0] * n for _ in range(n)]
     for i in range(n):
@@ -210,6 +210,75 @@ def test_rows_and_their_array_have_one_spectrum(rows):
     by_rows = hermitian_eigenvalues(rows)
     assert _bits(by_rows) == _bits(hermitian_eigenvalues(np.array(rows)))
     assert repr(rows) == repr(snapshot)  # the caller's rows, signed zeros included
+
+
+def _cyclic_sweep(a: list[list[complex]]) -> list[float]:
+    """The cyclic Jacobi sweep, for any dimension: the reference that the
+    2x2 closed form must match bit for bit."""
+    n = len(a)
+    sweep = tuple((p, q, tuple(i for i in range(n) if i not in (p, q)))
+                  for p in range(n - 1) for q in range(p + 1, n))
+    for _ in range(100):
+        off = max([abs(a[p][q]) for p, q, _ in sweep])
+        if off < qsep.linalg.OFFDIAG_TOL:
+            return [a[i][i].real for i in range(n)]
+        for p, q, others in sweep:
+            ap, aq = a[p], a[q]
+            apq = ap[q]
+            mag = abs(apq)
+            if mag < qsep.linalg.OFFDIAG_TOL * 1e-2:
+                continue
+            phase = apq * (1.0 / mag)
+            app, aqq = ap[p].real, aq[q].real
+            tau = (aqq - app) / (2.0 * mag)
+            t = 1.0 / (abs(tau) + math.hypot(1.0, tau))
+            if tau < 0.0:
+                t = -t
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            phase_c = phase.conjugate()
+            phase_s, phase_cc = phase_c * s, phase_c * c
+            for i in others:
+                ai = a[i]
+                vip, viq = ai[p], ai[q]
+                ai[p] = new_ip = c * vip - phase_s * viq
+                ai[q] = new_iq = s * vip + phase_cc * viq
+                ap[i] = new_ip.conjugate()
+                aq[i] = new_iq.conjugate()
+            ap[p] = app - t * mag
+            aq[q] = aqq + t * mag
+            ap[q] = 0.0
+            aq[p] = 0.0
+    raise AssertionError("the reference sweep did not converge")
+
+
+_TOL = qsep.linalg.OFFDIAG_TOL
+_BELOW_TOL = math.nextafter(_TOL, 0.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(st.one_of(hermitian_rows(dims=(2,)), real_rows(dims=(2,))))
+# |a01| at OFFDIAG_TOL is rotated, one ulp below it is not
+@example([[0.5, _TOL], [_TOL, 0.25]])
+@example([[0.5, _BELOW_TOL], [_BELOW_TOL, 0.25]])
+@example([[0.5, -_TOL], [-_TOL, 0.5]])
+@example([[0.5, complex(0.0, _TOL)], [complex(0.0, -_TOL), 0.25]])
+@example([[0.5, complex(0.0, _BELOW_TOL)], [complex(0.0, -_BELOW_TOL), 0.25]])
+# signed zeros: a -0.0 difference of the diagonal, and -0.0 entries
+@example([[0.0, 0.5], [0.5, -0.0]])
+@example([[-0.0, -0.0], [-0.0, -0.0]])
+@example([[-0.0, 0.25], [0.25, -0.0]])
+# subnormals, on the diagonal and off it
+@example([[5e-324, 0.5], [0.5, -2.5e-320]])
+@example([[0.25, 5e-324], [5e-324, -0.25]])
+# large enough to be solved scaled by 2**-8; 256 * OFFDIAG_TOL scales to it
+@example([[1e308, 1e307], [1e307, -1e308]])
+@example([[1.7e308, 256.0 * _TOL], [256.0 * _TOL, 1.7e308]])
+@example([[1e308, complex(3e307, -4e307)], [complex(3e307, 4e307), 1e308]])
+def test_a_2x2_solve_is_the_cyclic_sweep_bit_for_bit(rows):
+    spectrum = hermitian_eigenvalues(rows)
+    with mock.patch.object(qsep.linalg, "_jacobi_eigenvalues", _cyclic_sweep):
+        assert _bits(spectrum) == _bits(hermitian_eigenvalues(rows))
 
 
 def _solver_entry_types(monkeypatch) -> list[tuple[int, set]]:

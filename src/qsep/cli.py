@@ -49,20 +49,20 @@ from .separability import (
     max_weight_verdict,
     threshold_x,
 )
-from .states import BellDiagonalState, bell_spectrum, bell_weights, checked_weights
+from .states import BellDiagonalState, bell_spectrum, checked_weights, xyz_weights
 
 FORMAT_VERSION = "qsep/1"
 
 _FIG1_Q_SET = (0.5, 2.0, 5.0)
 _FIG1_DIRECTIONS = (
-    ("x00", lambda v: BellDiagonalState(v, 0.0, 0.0)),
-    ("xx0", lambda v: BellDiagonalState(v, v, 0.0)),
-    ("xxx", lambda v: BellDiagonalState(v, v, v)),
+    ("x00", lambda v: xyz_weights(v, 0.0, 0.0)),
+    ("xx0", lambda v: xyz_weights(v, v, 0.0)),
+    ("xxx", lambda v: xyz_weights(v, v, v)),
 )
 _FIG2_FAMILIES = _FIG1_DIRECTIONS + (
-    ("1x0", lambda v: BellDiagonalState(1.0, v, 0.0)),
-    ("1xx", lambda v: BellDiagonalState(1.0, v, v)),
-    ("11x", lambda v: BellDiagonalState(1.0, 1.0, v)),
+    ("1x0", lambda v: xyz_weights(1.0, v, 0.0)),
+    ("1xx", lambda v: xyz_weights(1.0, v, v)),
+    ("11x", lambda v: xyz_weights(1.0, 1.0, v)),
 )
 _FIG2_X_VALUES = (0.25, 0.5, 0.75, 1.0)
 _JOBS_HELP = "accepted for compatibility; has no effect (grids run in one process)"
@@ -338,8 +338,7 @@ def _figure_fig1a() -> Iterable[str]:
         for q in _FIG1_Q_SET:
             for k in range(201):
                 x = k / 200.0
-                s = family(x)
-                rows.append((label, x, q, entropy_kernel(bell_log_pairs(bell_weights(s)), q)))
+                rows.append((label, x, q, entropy_kernel(bell_log_pairs(family(x)), q)))
     return _csv_document(["direction", "x", "q", "S_q_cond"], rows)
 
 
@@ -349,8 +348,7 @@ def _figure_fig1b() -> Iterable[str]:
     for q in _FIG1_Q_SET:
         for k in range(801):
             x = (k - 600) / 200.0
-            s = BellDiagonalState(x, 1.0, 1.0)
-            rows.append((x, q, entropy_kernel(bell_log_pairs(bell_weights(s)), q)))
+            rows.append((x, q, entropy_kernel(bell_log_pairs(xyz_weights(x, 1.0, 1.0)), q)))
     return _csv_document(["x", "q", "S_q_cond"], rows)
 
 
@@ -360,10 +358,9 @@ def _figure_fig2() -> Iterable[str]:
         for name, family in _FIG2_FAMILIES
         for value in _FIG2_X_VALUES
     ]
-    curves.append(("xxx_0", BellDiagonalState(0.0, 0.0, 0.0)))
+    curves.append(("xxx_0", xyz_weights(0.0, 0.0, 0.0)))
     rows = []
-    for label, s in curves:
-        weights = bell_weights(s)
+    for label, weights in curves:
         pairs = bell_log_pairs(weights)
         skip_zero = len(pairs) < len(weights)  # rank deficient: 0^q is ambiguous at q = 0
         for k in range(1301):

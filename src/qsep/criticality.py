@@ -63,6 +63,8 @@ from .states import BellDiagonalState, physical_weights
 from .separability import (AxisSpec, by_weight_multiset, grid_axes, grid_results,
                            log_grid, secant_root)
 
+__all__ = ["CriticalityReport", "eta_field", "inflexion_point", "order_parameter"]
+
 Q_FLOOR = 1e-3
 Q_MAX_DEFAULT = 200.0
 SEARCH_POINTS = 240

@@ -49,6 +49,10 @@ from .linalg import Spectrum
 from .records import Record
 from .states import BellDiagonalState, physical_weights
 
+__all__ = ["EPS_SUPPORT", "ConditionalEntropyValue", "chain_rule_check", "conditional_entropy",
+           "conditional_entropy_bell", "pseudoadditive_combine", "rescaled_power_sum",
+           "trace_power", "tsallis_entropy"]
+
 # Eigenvalues at or below this are treated as zero; power sums run over the
 # support only, which keeps q <= 0 well defined for rank-deficient spectra.
 EPS_SUPPORT = 1e-12

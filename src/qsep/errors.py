@@ -4,6 +4,8 @@ Domain errors (unphysical inputs) and numerical failures are kept distinct
 so the command-line layer can map them to different exit codes.
 """
 
+__all__ = ["BracketError", "ConvergenceError", "NumericalError", "UnphysicalStateError"]
+
 
 class UnphysicalStateError(ValueError):
     """Input parameters do not describe a valid quantum state."""

@@ -32,6 +32,9 @@ from itertools import chain
 from .errors import ConvergenceError
 from .records import Record
 
+__all__ = ["Spectrum", "hermitian_eigenvalues", "partial_trace", "partial_transpose",
+           "tensor_product"]
+
 # Largest |m - m^H| entry an eigensolve accepts, in units of the largest
 # entry of (m + m^H)/2 when that exceeds 1.
 HERMITICITY_TOL = 1e-10

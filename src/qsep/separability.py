@@ -64,6 +64,10 @@ from .states import (
     xyz_weights,
 )
 
+__all__ = ["Classification", "GridCell", "RegionGrid", "ar_classify_asymptotic",
+           "ar_classify_scan", "ar_residual", "classify_state", "default_q_grid", "ppt_classify",
+           "region_scan", "threshold_x"]
+
 BOUNDARY_TOL_ANALYTIC = 1e-9
 BOUNDARY_TOL_SCAN = 1e-7
 NAMED_DIRECTIONS = {

@@ -31,6 +31,9 @@ from .errors import UnphysicalStateError
 from .linalg import Spectrum, hermitian_eigenvalues
 from .records import Record
 
+__all__ = ["BellDiagonalState", "PhysicalityCheck", "TwoQubitState", "bell_diagonal_density",
+           "bell_projectors", "bell_spectrum", "bell_weights", "is_physical", "werner"]
+
 WEIGHT_TOL = 1e-12
 # A density matrix's trace may miss 1, and its eigenvalues 0 from below, by this.
 DENSITY_TOL = 1e-11

@@ -3,8 +3,9 @@
 Commands run in-process through ``main(argv)``. One test runs this checkout's
 entry points in subprocesses: ``python -m qsep``, and the ``qsep`` script that
 ``pyproject.toml`` declares, run the way an installer's wrapper script runs it.
-A separate test checks an installed ``qsep`` executable, and is skipped where
-no ``qsep`` distribution is installed.
+A separate test checks an installed ``qsep`` executable and the installed
+distribution's version, and is skipped where no ``qsep`` distribution is
+installed.
 """
 
 import argparse
@@ -929,6 +930,7 @@ def test_module_and_script_entry_points():
     reason="no 'qsep' distribution found by importlib.metadata.distribution('qsep')",
 )
 def test_installed_console_script():
+    assert installed_distribution().version == qsep.__version__
     scripts = installed_distribution().entry_points.select(group="console_scripts")
     assert {ep.name: ep.value for ep in scripts} == declared_scripts()
 

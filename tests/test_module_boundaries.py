@@ -1,10 +1,11 @@
-"""Structure checks over the package sources: no private helper crosses a
-module boundary, no module calls ``is_physical`` (the package checks
-weights through ``states.checked_weights``), only ``states`` names
-``WEIGHT_TOL``, the default verdict bands are named only in their
-definitions and in ``separability.CLASSIFIERS``, and only
-``separability`` enumerates a grid and keys a result by its Bell-weight
-multiset."""
+"""Structure checks over the package sources: each public name is written
+once, in the ``__all__`` of the module that defines it, and ``qsep.__all__``
+is their union; no private helper crosses a module boundary, no module calls
+``is_physical`` (the package checks weights through
+``states.checked_weights``), only ``states`` names ``WEIGHT_TOL``, the
+default verdict bands are named only in their definitions and in
+``separability.CLASSIFIERS``, and only ``separability`` enumerates a grid
+and keys a result by its Bell-weight multiset."""
 
 import ast
 from pathlib import Path
@@ -17,6 +18,69 @@ SOURCES = sorted(Path(qsep.__file__).resolve().parent.glob("*.py"))
 def _trees():
     for path in SOURCES:
         yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
+# the public contract: qsep.__all__, name for name and in order
+PUBLIC = (
+    "BracketError", "ConvergenceError", "NumericalError", "UnphysicalStateError",
+    "Spectrum", "hermitian_eigenvalues", "partial_trace", "partial_transpose", "tensor_product",
+    "BellDiagonalState", "PhysicalityCheck", "TwoQubitState", "bell_diagonal_density",
+    "bell_projectors", "bell_spectrum", "bell_weights", "is_physical", "werner",
+    "EPS_SUPPORT", "ConditionalEntropyValue", "chain_rule_check", "conditional_entropy",
+    "conditional_entropy_bell", "pseudoadditive_combine", "rescaled_power_sum", "trace_power",
+    "tsallis_entropy",
+    "Classification", "GridCell", "RegionGrid", "ar_classify_asymptotic", "ar_classify_scan",
+    "ar_residual", "classify_state", "default_q_grid", "ppt_classify", "region_scan",
+    "threshold_x",
+    "CriticalityReport", "eta_field", "inflexion_point", "order_parameter",
+    "__version__",
+)
+# the modules that export no public name of their own
+NO_ALL = {"__init__.py", "__main__.py", "cli.py", "records.py"}
+
+
+def test_the_public_names_are_pinned():
+    assert tuple(qsep.__all__) == PUBLIC
+    namespace = {}
+    exec("from qsep import *", namespace)
+    assert tuple(name for name in namespace if name != "__builtins__") == PUBLIC
+
+
+def _declared_all(tree) -> list[str] | None:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None) == "__all__"):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def _top_level_names(tree) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_each_public_name_is_written_once():
+    trees = dict(_trees())
+    lists = {name: _declared_all(tree) for name, tree in trees.items() if name not in NO_ALL}
+    assert [name for name, listed in lists.items() if listed is None] == []
+    undefined = [f"{name}: {public}" for name, listed in lists.items()
+                 for public in set(listed) - _top_level_names(trees[name])]
+    assert undefined == []
+    listed = [public for names in lists.values() for public in names]
+    assert len(listed) == len(set(listed))
+    # __init__ builds its __all__ from the modules' lists and names none of them
+    named = {
+        getattr(node, field)
+        for node in ast.walk(trees["__init__.py"])
+        for field in ("id", "name", "asname", "attr", "value")
+        if isinstance(getattr(node, field, None), str)
+    }
+    assert sorted(named & set(listed)) == []
 
 
 def test_no_private_name_is_imported_from_another_module():

@@ -6,7 +6,11 @@ process, so the ``--jobs`` flag they accept changes no byte. Scalar commands
 emit a JSON record tagged with the format version, or with ``--format csv``
 one CSV row (not ``qinflex``, whose bracket fields are lists); grid and
 figure commands emit plain CSV (comma separated, single header row, LF line
-endings). Grid rows are written one x plane at a time as they are computed.
+endings). One rule gives every value its text (``_csv_field``; JSON spells
+None and booleans as null, true and false and quotes the non-finite floats),
+and each grid or figure driver writes its rows per column, one f-string per
+row, its columns' types being known. Grid rows are written one x plane at a
+time as they are computed.
 
 Exit codes: 0 success, 1 output I/O error, 2 usage error, 3 domain error
 (unphysical state or invalid weights), 4 numerical failure (a search with
@@ -52,6 +56,7 @@ from .separability import (
 from .states import BellDiagonalState, bell_spectrum, checked_weights, xyz_weights
 
 FORMAT_VERSION = "qsep/1"
+_G17 = ".17g"  # the format spec of every number the commands print
 
 _FIG1_Q_SET = (0.5, 2.0, 5.0)
 _FIG1_DIRECTIONS = (
@@ -73,41 +78,18 @@ _JOBS_HELP = "accepted for compatibility; has no effect (grids run in one proces
 
 
 def _csv_field(v) -> str:
-    """A scalar's text: floats to 17 significant digits, non-finite ones as
-    nan, inf or -inf; booleans as 1 or 0; None as the empty field."""
+    """A value's text: None as the empty field, a str as it is, anything
+    else as ``format(v, _G17)``, which prints a float to 17 significant
+    digits (nan, inf and -inf as such, -0.0 as -0), a boolean as 1 or 0, and
+    raises TypeError for a value that is not a number."""
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, str):
-        return v
-    if isinstance(v, float):
-        return format(float(v), ".17g")
-    if isinstance(v, int):
-        return str(v)
-    raise TypeError(f"cannot render {type(v)!r} as CSV")
-
-
-def _json_scalar(v) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, str):
-        escaped = v.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    if not isinstance(v, (int, float)):
-        raise TypeError(f"cannot render {type(v)!r} as JSON")
-    text = _csv_field(v)
-    # JSON has no literal for a non-finite number: it goes out as a string
-    return f'"{text}"' if isinstance(v, float) and not math.isfinite(v) else text
+    return v if isinstance(v, str) else format(v, _G17)
 
 
 def _render_json(obj, indent: int) -> str:
     pad = " " * indent
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         inner = ",\n".join(
             f'{pad}  "{key}": {_render_json(value, indent + 2)}'
             for key, value in obj.items()
@@ -115,13 +97,15 @@ def _render_json(obj, indent: int) -> str:
         return "{\n" + inner + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_render_json(v, indent) for v in obj) + "]"
-    return _json_scalar(obj)
-
-
-def _csv_document(header, rows) -> Iterable[str]:
-    """CSV chunks: the header line, then every row."""
-    yield ",".join(header) + "\n"
-    yield "".join(",".join(map(_csv_field, row)) + "\n" for row in rows)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, str):
+        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    text = format(obj, _G17)
+    # JSON has no literal for a non-finite number: it goes out as a string
+    return text if math.isfinite(obj) else f'"{text}"'
 
 
 def _scalar_document(args, payload: dict) -> Iterable[str]:
@@ -131,7 +115,7 @@ def _scalar_document(args, payload: dict) -> Iterable[str]:
     namespace in; a flag whose value is None, such as the unset member of a
     flag group, is left out."""
     if args.format == "csv":
-        return _csv_document(list(payload), [tuple(payload.values())])
+        return (",".join(payload) + "\n" + ",".join(map(_csv_field, payload.values())) + "\n",)
     flags = {key: value for key, value in vars(args).items()
              if key not in ("command", "func", "out", "format") and value is not None}
     record = {"format": FORMAT_VERSION, "command": {"name": args.command, **flags},
@@ -302,7 +286,7 @@ def _grid_document(header: list[str], axes, evaluate) -> Iterable[str]:
     0.0 == -0.0. The text after x and y of a non-physical row depends on z
     alone: it is made once per z point and joined for each non-physical run.
     """
-    xs, ys, zs = ([_csv_field(v) for v in axis] for axis in axes)
+    xs, ys, zs = ([format(v, _G17) for v in axis] for axis in axes)
     tails = [f"{z},0{',' * (len(header) - 4)}\n" for z in zs]
     lines = grid_results(axes, evaluate)
     yield ",".join(header) + "\n"
@@ -326,30 +310,32 @@ def _cmd_scan(args) -> Iterable[str]:
 
     def classify(x, y, z):
         c = classify_state(BellDiagonalState(x, y, z), args.method, tol)
-        return ",".join(map(_csv_field, (c.verdict, c.criterion, c.witness, c.witness_q)))
+        return f"{c.verdict},{c.criterion},{c.witness:{_G17}},{_csv_field(c.witness_q)}"
 
     header = ["x", "y", "z", "physical", "verdict", "criterion", "witness", "witness_q"]
     return _grid_document(header, grid_axes(*specs), classify)
 
 
 def _figure_fig1a() -> Iterable[str]:
-    rows = []
+    lines = ["direction,x,q,S_q_cond\n"]
     for label, family in _FIG1_DIRECTIONS:
         for q in _FIG1_Q_SET:
             for k in range(201):
                 x = k / 200.0
-                rows.append((label, x, q, entropy_kernel(bell_log_pairs(family(x)), q)))
-    return _csv_document(["direction", "x", "q", "S_q_cond"], rows)
+                s_q = entropy_kernel(bell_log_pairs(family(x)), q)
+                lines.append(f"{label},{x:{_G17}},{q:{_G17}},{s_q:{_G17}}\n")
+    return lines
 
 
 def _figure_fig1b() -> Iterable[str]:
     # the edge from the phi+ vertex (-3, 1, 1) to the psi- vertex (1, 1, 1)
-    rows = []
+    lines = ["x,q,S_q_cond\n"]
     for q in _FIG1_Q_SET:
         for k in range(801):
             x = (k - 600) / 200.0
-            rows.append((x, q, entropy_kernel(bell_log_pairs(xyz_weights(x, 1.0, 1.0)), q)))
-    return _csv_document(["x", "q", "S_q_cond"], rows)
+            s_q = entropy_kernel(bell_log_pairs(xyz_weights(x, 1.0, 1.0)), q)
+            lines.append(f"{x:{_G17}},{q:{_G17}},{s_q:{_G17}}\n")
+    return lines
 
 
 def _figure_fig2() -> Iterable[str]:
@@ -359,7 +345,7 @@ def _figure_fig2() -> Iterable[str]:
         for value in _FIG2_X_VALUES
     ]
     curves.append(("xxx_0", xyz_weights(0.0, 0.0, 0.0)))
-    rows = []
+    lines = ["label,q,S_q_cond\n"]
     for label, weights in curves:
         pairs = bell_log_pairs(weights)
         skip_zero = len(pairs) < len(weights)  # rank deficient: 0^q is ambiguous at q = 0
@@ -367,8 +353,8 @@ def _figure_fig2() -> Iterable[str]:
             q = (k - 300) / 100.0
             if skip_zero and abs(q) <= 1e-6:
                 continue
-            rows.append((label, q, entropy_kernel(pairs, q)))
-    return _csv_document(["label", "q", "S_q_cond"], rows)
+            lines.append(f"{label},{q:{_G17}},{entropy_kernel(pairs, q):{_G17}}\n")
+    return lines
 
 
 def _figure_fig3() -> Iterable[str]:
@@ -377,7 +363,7 @@ def _figure_fig3() -> Iterable[str]:
 
     def evaluate(weights):
         verdict = max_weight_verdict(weights, band)[0]
-        return f"{verdict},{_csv_field(inflexion_report(weights, Q_MAX_DEFAULT).eta)}"
+        return f"{verdict},{inflexion_report(weights, Q_MAX_DEFAULT).eta:{_G17}}"
 
     # a row depends on a cell only through its weight multiset (see criticality)
     return _grid_document(["x", "y", "z", "physical", "verdict", "eta"],

@@ -338,13 +338,13 @@ def _direction_vector(direction) -> tuple[float, float, float]:
 
 def _ray_extent(d: tuple[float, float, float]) -> float:
     # Largest t with all weights of t*d nonnegative: the walls are
-    # t*d_i <= 1 per axis and t*(d_x+d_y+d_z) >= -1.
+    # t*d_i <= 1 per axis and t*(d_x+d_y+d_z) >= -1. d is finite and
+    # nonzero, so with no positive component the sum is negative (a float
+    # sum of nonpositive terms, one of them negative, cannot round to 0).
     bounds = [1.0 / v for v in d if v > 0.0]
     total = d[0] + d[1] + d[2]
     if total < 0.0:
         bounds.append(-1.0 / total)
-    if not bounds:
-        raise ValueError(f"direction {d!r} never leaves the physical region")
     extent = min(bounds)
     if extent == math.inf:  # components so small that 1/v overflows
         raise ValueError(f"direction {d!r} is too short to reach the physical boundary")

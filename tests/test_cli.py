@@ -46,7 +46,7 @@ from qsep import (
     region_scan,
     threshold_x,
 )
-from qsep.cli import _csv_document, main
+from qsep.cli import _csv_field, _render_json, main
 from qsep.separability import grid_axes
 from test_entropy import lowest_curve, uppermost_curve
 
@@ -71,6 +71,41 @@ def package_env():
 def read_csv_text(text):
     rows = list(csv.reader(text.splitlines()))
     return rows[0], rows[1:]
+
+
+# ---------------------------------------------------------------------------
+# the value rule
+
+
+# (value, its CSV field, its JSON text): every number a command prints goes
+# through format(v, ".17g"), so booleans print as 1 and 0 in CSV, -0.0 keeps
+# its sign, and JSON quotes the non-finite floats, which it has no literal for
+@pytest.mark.parametrize("value, field, json_text", [
+    (-0.0, "-0", "-0"),
+    (0.0, "0", "0"),
+    (math.inf, "inf", '"inf"'),
+    (-math.inf, "-inf", '"-inf"'),
+    (math.nan, "nan", '"nan"'),
+    (5e-324, "4.9406564584124654e-324", "4.9406564584124654e-324"),
+    (1e308, "1e+308", "1e+308"),
+    (7, "7", "7"),
+    (True, "1", "true"),
+    (False, "0", "false"),
+    (None, "", "null"),
+    ('say "a\\b"', 'say "a\\b"', r'"say \"a\\b\""'),
+])
+def test_one_rule_renders_every_value(value, field, json_text):
+    assert _csv_field(value) == field
+    assert _render_json(value, 0) == json_text
+    assert _render_json({"k": [value]}, 0) == f'{{\n  "k": [{json_text}]\n}}'
+
+
+def test_a_value_that_is_not_a_number_is_refused():
+    for value in (object(), b"1"):
+        with pytest.raises(TypeError):
+            _csv_field(value)
+        with pytest.raises(TypeError):
+            _render_json(value, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +369,7 @@ def test_exit_code_usage_errors(capsys):
     assert run_cli(capsys, "cond", "--xyz", "0,0", "--q", "2")[0] == 2
     assert run_cli(capsys, "scan", "--range", "0:1")[0] == 2
     assert run_cli(capsys, "scan", "--range", "1:0:5")[0] == 2
+    assert run_cli(capsys, "scan", "--range", "a:b:5")[0] == 2
     assert run_cli(capsys, "threshold", "--q", "2", "--direction", "north")[0] == 2
     # the qinflex payload holds lists, which one CSV row cannot
     assert run_cli(capsys, "qinflex", "--xyz", "0.6,0.6,0.6", "--format", "csv")[0] == 2
@@ -757,6 +793,10 @@ SCAN_GRIDS = {
               ("\n-0.80000000000000004,-0.80000000000000004,-0,0,,,,\n",
                "\n0.22499999999999987,-0.80000000000000004,-0,1,",
                "\n1.25,-0.80000000000000004,-0,0,,,,\n")),
+    # lines whose physical run ends before z does, at z > 1
+    "-zbeyond": (("--xrange=-0.5:0.5:3", "--yrange=-0.5:0:2", "--zrange=0:1.5:4"),
+                 ((-0.5, 0.5, 3), (-0.5, 0.0, 2), (0.0, 1.5, 4)),
+                 ("\n0.5,0,1,1,", "\n0.5,0,1.5,0,,,,\n")),
 }
 
 
@@ -777,7 +817,7 @@ def test_scan_rows_are_the_region_scan_cells(capsys, method, grid):
         fields = (None,) * 4 if c is None else (c.verdict, c.criterion, c.witness, c.witness_q)
         rows.append((x, y, z, c is not None, *fields))
     header = ["x", "y", "z", "physical", "verdict", "criterion", "witness", "witness_q"]
-    assert out == "".join(_csv_document(header, rows))
+    assert out == "".join(",".join(map(_csv_field, row)) + "\n" for row in [header, *rows])
     assert all(row in out for row in expected_rows)
     scanned = []
     for cell in region_scan(*specs, method=method).cells:

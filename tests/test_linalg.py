@@ -64,6 +64,11 @@ def test_partial_trace_requires_axis_label():
         partial_trace(np.eye(4) / 4.0, "C")
 
 
+def test_partial_transpose_requires_axis_label():
+    with pytest.raises(ValueError, match="on must be"):
+        partial_transpose(np.eye(4) / 4.0, on="C")
+
+
 def test_partial_transpose_singlet_spectrum():
     rho = bell_diagonal_density(werner(1.0)).matrix
     spectrum = hermitian_eigenvalues(partial_transpose(rho, on="B"))

@@ -428,6 +428,9 @@ def test_threshold_raises_when_ray_misses_surface():
         threshold_x(2.0, (1.0, -0.5, 0.2))
     with pytest.raises(BracketError):
         threshold_x(2.0, (-1.0, -1.0, -1.0))
+    # no positive component: only the wall of the sum bounds the ray
+    with pytest.raises(BracketError):
+        threshold_x(2.0, (-1.0, -1.0, 0.0))
 
 
 @pytest.mark.parametrize("y, on_surface", [

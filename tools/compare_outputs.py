@@ -46,6 +46,8 @@ GRIDS = (
     ("--range=-3:1:41",),
     ("--xrange=-3.03:0.97:41", "--yrange=-2.98:1.02:41", "--zrange=-3.01:0.99:41"),
     ("--xrange=-0.8:1.25:3", "--yrange=-0.8:-0.8:1", "--zrange=-3:-0:3"),
+    # physical runs that end before z does, at z > 1
+    ("--xrange=-0.5:0.5:3", "--yrange=-0.5:0:2", "--zrange=0:1.5:4"),
 )
 CLASSIFY_POINTS = ("-3,1,1", "1,-3,1", "1,1,-3", "1,1,1", "0,0,0",
                    "0.3333333333,0.3333333333,0.3333333333")
@@ -71,6 +73,11 @@ COMMANDS = (
         ["entropy", "--weights=0.4,0.3,0.2,0.1", "--q", "0.5"],
         ["threshold", "--q", "2", "--direction", "edge"],
         ["threshold", "--q", "3", "--direction=1,0.5,0.2"],
+        # the CSV row of a scalar command: an empty and a float witness_q
+        ["classify", "--xyz=0.2,0.2,0.2", "--method", "ar-asymptotic", "--format", "csv"],
+        ["classify", "--xyz=0.2,0.2,0.2", "--method", "ar-scan", "--format", "csv"],
+        ["threshold", "--q", "2", "--direction", "edge", "--format", "csv"],
+        ["cond", "--xyz=0.1,-0.2,0.3", "--q", "2", "--format", "csv"],
         # values that start with "-" in the two-token spelling
         ["cond", "--xyz", "-0.1,0.2,0.3", "--q", "-0.5"],
         ["scan", "--range", "-1:1:5", "--method", "ppt"],

@@ -18,8 +18,14 @@ when every entry of the rows given is a float (real symmetric rows, such as
 the 2x2 blocks of the partial transpose that the Bell-diagonal ``ppt`` route
 solves, stay real), complex numbers otherwise. For a 4x4 matrix that is
 several times faster than indexing numpy scalars, and it is still free of
-LAPACK. ``hermitian_eigenvalues`` builds its ``Spectrum`` in the one pass
-that ``Spectrum.from_values`` also takes.
+LAPACK. A 2x2 matrix given as two rows of Python floats, whose entries'
+magnitudes sum to less than 2**1020, takes one straight-line pass: the
+symmetrisation and the Hermiticity check of the general pass, written out
+for its three distinct entries, then the closed-form rotation, with no
+copy of the rows and no loop over them. Every outcome of that pass, a
+spectrum's bits or an error's message, is the general route's.
+``hermitian_eigenvalues`` builds its ``Spectrum`` in the one pass that
+``Spectrum.from_values`` also takes.
 """
 
 from __future__ import annotations
@@ -63,8 +69,9 @@ class Spectrum(Record):
     __slots__ = __match_args__ = ("values", "stochastic")
 
     def __init__(self, values: tuple[float, ...], stochastic: bool) -> None:
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "stochastic", stochastic)
+        store_values, store_stochastic = self._stores
+        store_values(self, values)
+        store_stochastic(self, stochastic)
 
     @classmethod
     def from_values(cls, values: Iterable[float], stochastic: bool | None = None) -> "Spectrum":
@@ -72,8 +79,9 @@ class Spectrum(Record):
 
     @classmethod
     def uniform(cls, dim: int) -> "Spectrum":
-        if dim < 1:
-            raise ValueError("dimension must be positive")
+        # an integer of any type but bool, as sequence repetition takes it
+        if isinstance(dim, bool) or not hasattr(dim, "__index__") or dim < 1:
+            raise ValueError(f"dimension must be a positive integer, got {dim!r}")
         return cls(values=(1.0 / dim,) * dim, stochastic=True)
 
     @property
@@ -91,8 +99,11 @@ def _spectrum(vals: list[float], stochastic: bool | None = None) -> Spectrum:
         raise ValueError("spectrum values must be finite")
     try:
         total = math.fsum(vals)
-    except OverflowError:  # finite values whose sum does not fit a float
-        total = math.inf
+    except OverflowError:  # a partial sum of finite values does not fit a float
+        # scaled by a power of two above len(vals), no partial sum overflows;
+        # scaled back, the sum is finite or an infinity of its sign
+        scale = 2.0 ** len(vals).bit_length()
+        total = math.fsum([v / scale for v in vals]) * scale
     looks_stochastic = abs(total - 1.0) <= STOCHASTIC_TOL and vals[-1] >= -STOCHASTIC_TOL
     if stochastic is None:
         stochastic = looks_stochastic
@@ -160,6 +171,10 @@ _SWEEP_ORDER = tuple((p, q, tuple(i for i in range(4) if i not in (p, q)))
                      for p in range(3) for q in range(p + 1, 4))
 
 
+def _not_hermitian(amax: float, at: tuple[int, int]) -> ValueError:
+    return ValueError(f"matrix is not Hermitian: max |m - m^H| = {amax:.3e} at entry {at}")
+
+
 def _jacobi_eigenvalues(a: list[list[complex]]) -> list[float]:
     """Jacobi diagonalisation of a Hermitian 2x2 or 4x4 matrix, given as rows.
 
@@ -176,8 +191,7 @@ def _jacobi_eigenvalues(a: list[list[complex]]) -> list[float]:
     if len(a) == 2:
         # the sweep's rotation, with the same roundings, leaves it diagonal
         (app, apq), (_, aqq) = a
-        mag = abs(apq)
-        app, aqq = app.real, aqq.real
+        mag, app, aqq = abs(apq), app.real, aqq.real
         if mag < OFFDIAG_TOL:
             return [app, aqq]
         tau = (aqq - app) / (2.0 * mag)
@@ -237,12 +251,27 @@ def hermitian_eigenvalues(m: list[list[complex]] | np.ndarray) -> Spectrum:
     caller's matrix is left as it was. Inputs may deviate from exact
     Hermiticity, in any entry, by at most HERMITICITY_TOL times the larger
     of 1 and the largest magnitude in (m + m^H)/2; the pass that checks
-    this also symmetrises the matrix. A matrix whose entries'
+    this also symmetrises the matrix; 2x2 float rows below the scaling
+    sum take it straight-line, with the same result. A matrix whose entries'
     magnitudes sum to 2**1020 or more is solved scaled by 2**-8, an exact
     power of two, so that no step overflows; below that sum nothing is
     scaled. Probability spectra (sum one, nonnegative) come back flagged
     stochastic.
     """
+    if (type(m) is list and len(m) == 2 and type(m[0]) is type(m[1]) is list
+            and len(m[0]) == len(m[1]) == 2):
+        (a, b), (c, d) = m
+        # the general pass's sum, left to right as sum() adds floats before
+        # Python 3.12, so both take one scale; false for nan and inf, which
+        # that pass then rejects
+        if type(a) is type(b) is type(c) is type(d) is float and (
+                abs(a) + abs(b) + abs(c) + abs(d) < _UNSCALED_MAX):
+            # that pass, straight-line: |m - m^H| is 0 but at (0, 1)
+            amax, b = abs(b - c), (b + c + 0.0) / 2.0
+            a, d = (a + a + 0.0) / 2.0, (d + d + 0.0) / 2.0
+            if amax > HERMITICITY_TOL and amax > HERMITICITY_TOL * max(abs(a), abs(b), abs(d)):
+                raise _not_hermitian(amax, (0, 1))
+            return _spectrum(_jacobi_eigenvalues([[a, b], [b, d]]))
     real = False
     if not (isinstance(m, list) and all([isinstance(row, list) for row in m])):
         rows = _as_operator(m, (2, 4)).tolist()
@@ -284,9 +313,7 @@ def hermitian_eigenvalues(m: list[list[complex]] | np.ndarray) -> Spectrum:
     # path pays nothing, and entries of at most 1 keep that bound exactly
     if amax > HERMITICITY_TOL and (
             amax > HERMITICITY_TOL * scale * max(map(abs, chain.from_iterable(rows)))):
-        raise ValueError(
-            f"matrix is not Hermitian: max |m - m^H| = {amax:.3e} at entry {at}"
-        )
+        raise _not_hermitian(amax, at)
     values = _jacobi_eigenvalues(rows)
     if scale != 1.0:
         values = [v * scale for v in values]

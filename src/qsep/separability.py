@@ -87,10 +87,11 @@ class Classification(Record):
 
     def __init__(self, verdict: str, criterion: str, witness: float,
                  witness_q: float | None = None) -> None:
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "criterion", criterion)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "witness_q", witness_q)
+        store_verdict, store_criterion, store_witness, store_witness_q = self._stores
+        store_verdict(self, verdict)
+        store_criterion(self, criterion)
+        store_witness(self, witness)
+        store_witness_q(self, witness_q)
 
 
 class GridCell(Record):

@@ -40,6 +40,7 @@ DENSITY_TOL = 1e-11
 WEIGHT_LABELS = ("phi+", "phi-", "psi+", "psi-")
 
 _SQRT_HALF = math.sqrt(0.5)
+_ENTRY = _SQRT_HALF * _SQRT_HALF  # each projector entry's magnitude, as rounded
 _BELL_KETS = (
     (_SQRT_HALF, 0.0, 0.0, _SQRT_HALF),   # phi+
     (_SQRT_HALF, 0.0, 0.0, -_SQRT_HALF),  # phi-
@@ -61,9 +62,10 @@ class BellDiagonalState(Record):
             raise ValueError("y must be finite")
         if not math.isfinite(z := float(z)):
             raise ValueError("z must be finite")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
+        store_x, store_y, store_z = self._stores
+        store_x(self, x)
+        store_y(self, y)
+        store_z(self, z)
 
 
 class PhysicalityCheck(Record):
@@ -165,8 +167,9 @@ class TwoQubitState(Record):
         if spectrum.values[-1] < -DENSITY_TOL:
             raise UnphysicalStateError(
                 f"density matrix has negative eigenvalue {spectrum.values[-1]!r}")
-        object.__setattr__(self, "spectrum", spectrum)
-        object.__setattr__(self, "matrix", arr)
+        store_matrix, store_spectrum = self._stores
+        store_matrix(self, arr)
+        store_spectrum(self, spectrum)
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "TwoQubitState":
@@ -177,10 +180,10 @@ def bell_blocks(weights) -> tuple[float, float, float, float]:
     """(a, b, c, d) of the density matrix sum_k w_k P_k of checked Bell
     weights in canonical order: its phi block [[a, b], [b, a]] on (up-up,
     down-down) and its psi block [[c, d], [d, c]] on (up-down, down-up).
-    Each adds its two nonzero terms w_k * h in projector order, so it is
+    Each adds its two nonzero terms w_k * _ENTRY in projector order, so it is
     that sum bit for bit."""
-    h = _SQRT_HALF * _SQRT_HALF  # each projector entry's magnitude, as rounded
-    phi_p, phi_m, psi_p, psi_m = (w * h for w in weights)
+    w0, w1, w2, w3 = weights
+    phi_p, phi_m, psi_p, psi_m = w0 * _ENTRY, w1 * _ENTRY, w2 * _ENTRY, w3 * _ENTRY
     return phi_p + phi_m, phi_p - phi_m, psi_p + psi_m, psi_p - psi_m
 
 

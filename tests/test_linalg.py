@@ -1,6 +1,7 @@
 """Unit tests for the dense linear-algebra layer."""
 
 import math
+import re
 import struct
 from unittest import mock
 
@@ -319,6 +320,55 @@ def test_rows_not_all_floats_take_the_complex_route(monkeypatch, rows):
     assert seen == [(2, {complex})]
 
 
+_HTOL = qsep.linalg.HERMITICITY_TOL
+_HUGE = 2.0 ** 1019  # two on the diagonal sum to linalg's _UNSCALED_MAX, 2**1020
+
+
+def _outcome(rows) -> tuple:
+    """The spectrum's bits, or the error's type and message."""
+    try:
+        return _bits(hermitian_eigenvalues(rows))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("rows", [
+    # |m - m^H| just above and just below HERMITICITY_TOL, entries at most 1
+    pytest.param([[0.5, 0.25 + 2.0 * _HTOL], [0.25, 0.75]], id="above-tol"),
+    pytest.param([[0.5, 0.25 + 0.5 * _HTOL], [0.25, 0.75]], id="below-tol"),
+    pytest.param([[1.0, 0.0], [math.nextafter(_HTOL, 1.0), -1.0]], id="above-tol-lower"),
+    pytest.param([[1.0, 0.0], [_HTOL, -1.0]], id="at-tol-lower"),
+    # entries near 1e3: the relative bound admits 5e-8 and refuses 2e-7
+    pytest.param([[1e3, 250.0 + 5e-8], [250.0, 999.0]], id="relative-admits"),
+    pytest.param([[1e3, 250.0 + 2e-7], [250.0, 999.0]], id="relative-refuses"),
+    pytest.param([[-999.5, 250.0], [250.0 - 5e-8, 1e3]], id="relative-admits-lower"),
+    # the largest entry off the diagonal
+    pytest.param([[0.5, 1e3 + 5e-8], [1e3, 0.25]], id="relative-off-diagonal"),
+    # non-finite entries
+    pytest.param([[math.nan, 0.1], [0.1, 0.2]], id="nan-diagonal"),
+    pytest.param([[0.5, math.inf], [math.inf, 0.5]], id="inf-off-diagonal"),
+    pytest.param([[0.5, 0.1], [0.1, -math.inf]], id="minus-inf-diagonal"),
+    pytest.param([[0.5, math.nan], [0.1, 0.5]], id="nan-one-side"),
+    # absolute sums at and above 2**1020: the scaled route
+    pytest.param([[_HUGE, 0.0], [0.0, _HUGE]], id="sum-at-2**1020"),
+    pytest.param([[_HUGE, 0.0], [0.0, math.nextafter(_HUGE, 0.0)]], id="sum-below-2**1020"),
+    # scaled by 2**-8, the subnormal eigenvalue is lost
+    pytest.param([[2.0 * _HUGE, 0.0], [0.0, 1.5e-323]], id="sum-at-2**1020-subnormal"),
+    pytest.param([[1e308, 1e307], [1e307, -1e308]], id="scaled"),
+    pytest.param([[1.7e308, 1e-3], [1e-3 + 1e298, -1.7e308]], id="scaled-asymmetric"),
+    # -0.0 on the diagonal, and subnormal off-diagonal entries
+    pytest.param([[-0.0, 0.25], [0.25, -0.0]], id="minus-zero-diagonal"),
+    pytest.param([[-0.0, 0.0], [-0.0, 0.25]], id="minus-zero-off-diagonal"),
+    pytest.param([[0.25, 5e-324], [5e-324, -0.25]], id="subnormal"),
+    pytest.param([[0.5, 5e-324], [-5e-324, 0.5]], id="subnormal-antisymmetric"),
+    pytest.param([[0.5, 1e-310], [3e-310, 0.25]], id="subnormal-asymmetric"),
+])
+def test_the_2x2_float_pass_is_the_general_route(rows):
+    # the same rows as an array take the complex route; a float row list of
+    # a 2x2 matrix whose absolute sum is below 2**1020 takes the float pass
+    assert _outcome(rows) == _outcome(np.array(rows))
+
+
 @pytest.mark.parametrize("as_array", [False, True], ids=["rows", "array"])
 def test_huge_entries_are_solved_scaled(as_array, rng):
     # (m + m^H)/2 of these entries overflows unless the matrix is scaled
@@ -417,8 +467,25 @@ def test_spectrum_uniform():
     u = Spectrum.uniform(4)
     assert u.values == (0.25,) * 4
     assert u.stochastic
-    with pytest.raises(ValueError):
-        Spectrum.uniform(0)
+    assert Spectrum.uniform(np.int64(2)) == Spectrum((0.5, 0.5), True)
+
+
+@pytest.mark.parametrize("dim", [0, -3, 2.5, 2.0, True, False, "2", None],
+                         ids=["0", "-3", "2.5", "2.0", "True", "False", "str", "None"])
+def test_spectrum_uniform_takes_positive_integers_only(dim):
+    message = f"dimension must be a positive integer, got {dim!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Spectrum.uniform(dim)
+
+
+@pytest.mark.parametrize("values, total", [
+    ([-1e308, -1e308], "-inf"),
+    ([1e308, 1e308], "inf"),
+    ([1e308, 1e308, -1e308], "1e+308"),  # only a partial sum overflows
+], ids=["negative", "positive", "partial"])
+def test_an_overflowing_sum_is_reported_with_its_sign(values, total):
+    with pytest.raises(ValueError, match=re.escape(f"probability spectrum: sum = {total}, min = ")):
+        Spectrum.from_values(values, stochastic=True)
 
 
 def test_trace_power_closed_forms():

@@ -4,13 +4,15 @@ is their union; no private helper crosses a module boundary, no module calls
 ``is_physical`` (the package checks weights through
 ``states.checked_weights``), only ``states`` names ``WEIGHT_TOL``, the
 default verdict bands are named only in their definitions and in
-``separability.CLASSIFIERS``, and only ``separability`` enumerates a grid
-and keys a result by its Bell-weight multiset."""
+``separability.CLASSIFIERS``, only ``separability`` enumerates a grid
+and keys a result by its Bell-weight multiset, and a record's fields are
+stored only through its slots' own setters, ``Record._stores``."""
 
 import ast
 from pathlib import Path
 
 import qsep
+from qsep.records import Record
 
 SOURCES = sorted(Path(qsep.__file__).resolve().parent.glob("*.py"))
 
@@ -163,3 +165,28 @@ def test_only_separability_names_the_default_bands():
                 stray.append(f"{name}:{node.lineno}: {band}")
     assert stray == []
     assert sorted(owned) == ["BOUNDARY_TOL_ANALYTIC"] * 3 + ["BOUNDARY_TOL_SCAN"] * 2
+
+
+def _record_classes(cls=Record) -> list[type]:
+    return [cls] + [sub for child in cls.__subclasses__() for sub in _record_classes(child)]
+
+
+def test_a_record_field_is_stored_one_way():
+    calls = [
+        f"{name}:{node.lineno}"
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+        and getattr(node.value, "id", None) == "object"
+    ]
+    assert calls == []
+    records = _record_classes()[1:]
+    assert len(records) >= 9
+    for cls in records:
+        assert len(cls._stores) == len(cls._field_names) > 0, cls
+        for store, name in zip(cls._stores, cls._field_names):
+            # the bound __set__ of the slot that holds the field
+            assert store.__name__ == "__set__" and store.__self__ is getattr(cls, name), (cls, name)
+            record = object.__new__(cls)
+            store(record, name)
+            assert getattr(record, name) == name
